@@ -17,6 +17,7 @@ whose test suite is to hold them.
 import json
 import pathlib
 import sys
+from functools import partial
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from qpflow.fixtures import FIXTURE_NAMES, case_bytes
 from qpflow.grid import build_quadratic_forms, parse_case, residual
-from qpflow.newton import NewtonConfig, dense_lu_solve, newton_raphson
+from qpflow.newton import NewtonConfig, dense_lu_solve, lu_step, newton_raphson
 
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qpflow" / "cases" / "goldens"
 
@@ -43,7 +44,7 @@ def main() -> None:
     for name in FIXTURE_NAMES:
         case = parse_case(case_bytes(name))
         problem = build_quadratic_forms(case)
-        u, trace = newton_raphson(problem, NewtonConfig(), linear_solver=dense_lu_solve)
+        u, trace = newton_raphson(problem, NewtonConfig(), partial(lu_step, solve=dense_lu_solve))
         if not trace.converged:
             raise SystemExit(f"{name}: oracle Newton did not converge")
         final = residual(problem, u)

@@ -23,15 +23,14 @@ from .newton import NewtonConfig, SingularJacobianError, SolveTrace, diagnostics
 from .qsim import (
     DepthCounter,
     PauliString,
+    PhaseEstimation,
     StateVector,
-    TrotterPlan,
     apply_pauli_exponential,
     depth_report,
     eigenvalue_inversion,
     inverse_qpe,
     measure_ancilla_postselect,
     qpe,
-    trotter_evolve,
 )
 from .resources import (
     DepthQuery,

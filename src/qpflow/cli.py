@@ -2,7 +2,7 @@
 
 All outputs are machine-readable JSON or CSV; identical command lines with
 identical seeds produce byte-identical files.  Exit codes: 0 success,
-1 input error, 2 non-convergence.
+1 input error, 2 non-convergence or numerical failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .fixtures import harvest_jacobian_dilations
-from .grid import CaseError, build_quadratic_forms, jacobian, parse_case, residual
+from .grid import CaseError, build_quadratic_forms, flat_start, jacobian, parse_case, residual
 from .hhl import HHLConfig, ShadowReadout, qpf_hhl
 from .lcu import hermitian_dilation, lcu_statistics, pauli_decompose, truncate
 from .newton import NewtonConfig, SingularJacobianError, newton_raphson
@@ -195,14 +195,13 @@ def cmd_lcu(args) -> int:
             count = int(_option(args, cfg, "count", 102))
             mats = harvest_jacobian_dilations(case, count=count, seed=seed)
         else:
+            if args.iterate < 0:
+                raise CaseError(f"--iterate must be >= 0, got {args.iterate}")
             problem = build_quadratic_forms(case)
-            from .grid import flat_start, hold_slack_angle
-            from .newton import lu_solve
-
             u = flat_start(problem.n_bus)
-            for _ in range(args.iterate):
-                f = residual(problem, u)
-                u = hold_slack_angle(u + lu_solve(jacobian(problem, u), -f))
+            if args.iterate:
+                # exactly k steps: eps0 = tiny stops only at a zero residual, where a step is zero
+                u, _ = newton_raphson(problem, NewtonConfig(k_max=args.iterate, eps0=np.finfo(float).tiny))
             f = residual(problem, u)
             j = jacobian(problem, u).toarray()
             mats = [hermitian_dilation(j, -f)[0]]
@@ -371,7 +370,7 @@ def main(argv=None) -> int:
     except (CaseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except SingularJacobianError as exc:
+    except (SingularJacobianError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -11,19 +11,9 @@ from importlib import resources
 
 import numpy as np
 
-from .grid import (
-    Bus,
-    BusKind,
-    GridCase,
-    build_quadratic_forms,
-    flat_start,
-    hold_slack_angle,
-    jacobian,
-    parse_case,
-    residual,
-)
+from .grid import Bus, BusKind, GridCase, build_quadratic_forms, parse_case
 from .lcu import hermitian_dilation
-from .newton import NewtonConfig, lu_solve
+from .newton import NewtonConfig, lu_step, newton_raphson
 
 FIXTURE_NAMES = ("case3", "case5", "case14")
 
@@ -74,23 +64,19 @@ def harvest_jacobian_dilations(
     rng = np.random.default_rng(seed)
     mats: list[np.ndarray] = []
     rhss: list[np.ndarray] = []
+
+    def recording_lu_step(j, f, iteration):
+        dilated, rhs = hermitian_dilation(j.toarray(), -f)
+        mats.append(dilated)
+        rhss.append(rhs)
+        return lu_step(j, f, iteration)
+
+    # every scenario runs to its end; the rng draws once per scenario, so
+    # the first ``count`` matrices do not depend on where collection stops
     while len(mats) < count:
         factor = float(rng.uniform(*load_range))
         problem = build_quadratic_forms(scale_loads(case, factor))
-        u = flat_start(problem.n_bus)
-        cfg = NewtonConfig(eps0=eps0)
-        f = residual(problem, u)
-        for _ in range(cfg.k_max):
-            if np.max(np.abs(f)) < cfg.eps0:
-                break
-            j = jacobian(problem, u)
-            dilated, rhs = hermitian_dilation(j.toarray(), -f)
-            mats.append(dilated)
-            rhss.append(rhs)
-            if len(mats) >= count:
-                break
-            u = hold_slack_angle(u + lu_solve(j, -f))
-            f = residual(problem, u)
+        newton_raphson(problem, NewtonConfig(eps0=eps0), recording_lu_step)
     if with_rhs:
         return mats[:count], rhss[:count]
     return mats[:count]

@@ -313,17 +313,6 @@ def residual(problem: PowerFlowProblem, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def hold_slack_angle(u: np.ndarray) -> np.ndarray:
-    """Set u[1] to exactly 0 in place and return u.
-
-    The slack-angle row is the linear constraint u[1] = 0, so an exact
-    Newton step lands on it; whatever an LU solve leaves there is round-off
-    that differs between BLAS builds.
-    """
-    u[1] = 0.0
-    return u
-
-
 def jacobian(problem: PowerFlowProblem, u: np.ndarray) -> sp.csr_matrix:
     """Row a is 2*(O_a u)^T; the slack-angle row is the constant unit row."""
     u = np.asarray(u, dtype=float).reshape(-1)

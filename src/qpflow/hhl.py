@@ -1,4 +1,4 @@
-"""End-to-end HHL solve on the exact simulator and the HHL-driven Newton loop.
+"""End-to-end HHL solve on the exact simulator and the quantum Newton step.
 
 The Hamiltonian is shifted so its spectrum is strictly positive, then the
 evolution time t0 places all eigenphases inside (0, 1); the shift and scale
@@ -13,16 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PowerFlowProblem, condition_number, flat_start, jacobian, residual, sparsity
+from .grid import PowerFlowProblem
 from .lcu import LCUDecomposition, hermitian_dilation, pauli_decompose, reconstruct
-from .newton import NewtonConfig, SolveTrace, lu_solve
+from .newton import NewtonConfig, SolveTrace, lu_solve, newton_raphson
 from .qsim import (
     DepthCounter,
+    PhaseEstimation,
     StateVector,
     depth_report,
     eigenvalue_inversion,
     measure_ancilla_postselect,
-    qpe,
 )
 
 _REPRESENTED_TOL = 1e-8
@@ -163,8 +163,8 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
         return phase * 2 * np.pi / t0 + shift
 
     counter = DepthCounter()
-    b_state = StateVector.from_vector(b)
-    state = qpe(b_state, ham, c, t0, counter, trotter_m=cfg.trotter_m)
+    phase_estimation = PhaseEstimation(ham, c, t0, cfg.trotter_m)
+    state = phase_estimation.forward(StateVector.from_vector(b), counter)
 
     # C comes from the smallest represented eigenvalue that the clock grid
     # can actually resolve.  Buckets within one grid tick of zero are
@@ -191,8 +191,8 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
     state = eigenvalue_inversion(
         state, c, c_const, counter, eig_of_phase=eig_of_phase, amp_tol=np.inf
     )
-    # the ancilla occupies the least significant qubit; clock qubits stay on top
-    state = _inverse_qpe_with_ancilla(state, ham, c, t0, counter, cfg.trotter_m)
+    # the ancilla occupies the least significant qubit and rides along
+    state = phase_estimation.adjoint(state, counter)
 
     if rng is not None:
         # sampled path: Bernoulli postselection with bounded retries
@@ -239,18 +239,6 @@ def _ancilla_one_prob(state: StateVector) -> float:
     return float(np.sum(shaped[:, 1].real ** 2 + shaped[:, 1].imag ** 2))
 
 
-def _inverse_qpe_with_ancilla(state, ham, clock_bits, t0, counter, trotter_m):
-    """Inverse QPE on the clock+system registers with the ancilla riding along."""
-    from .qsim import _block_unitaries, _iqpe_core
-
-    c = clock_bits
-    n_sys = state.n - c - 1
-    psi = state.amps.reshape(1 << c, 1 << n_sys, 2).copy()
-    blocks = _block_unitaries(ham, n_sys, c, t0, trotter_m)
-    psi = _iqpe_core(psi, blocks, counter, ham, trotter_m)
-    return StateVector(state.n, psi.reshape(-1))
-
-
 def download_state(x_state: np.ndarray, downloader, iteration: int) -> np.ndarray:
     """Read a solution direction either exactly or through classical shadows."""
     if downloader == "exact" or downloader is None:
@@ -265,63 +253,32 @@ def download_state(x_state: np.ndarray, downloader, iteration: int) -> np.ndarra
     raise ValueError(f"unknown downloader {downloader!r}")
 
 
-def quantum_newton_loop(
-    problem: PowerFlowProblem,
-    cfg: NewtonConfig,
-    inner_solve,
-    downloader="exact",
-) -> tuple[np.ndarray, SolveTrace]:
-    """Newton outer loop with a quantum inner solve of J dU = -F.
+def quantum_step(inner_solve, downloader="exact"):
+    """Newton inner step that solves J dU = -F on a quantum linear solver.
 
     ``inner_solve(a_tilde, b_tilde, iteration)`` receives the padded
     Hermitian dilation and returns (unit_direction, extras dict).  The
     direction is downloaded, rescaled through recover_normalization, and
-    compared against the classical LU direction; the cosine lands in the
-    trace extras.  Unlike the LU loops, this loop deliberately does not
-    reset the slack coordinate u[1]: it carries the inner solve's error,
-    which then shows in the slack-angle residual row.
+    compared against the classical LU direction; the cosine joins the
+    extras.  Unlike lu_step, this step does not pin the slack coordinate
+    u[1]: it carries the inner solve's error, which then shows in the
+    slack-angle residual row.
     """
-    u = flat_start(problem.n_bus) if cfg.u0 is None else np.array(cfg.u0, dtype=float)
-    if u.size != problem.dim:
-        raise ValueError(f"initial guess has length {u.size}, expected {problem.dim}")
-    trace = SolveTrace()
-    trace.extras["direction_cosine"] = []
-    dim = problem.dim
 
-    f = residual(problem, u)
-    norm = float(np.max(np.abs(f)))
-    for iteration in range(cfg.k_max):
-        if norm < cfg.eps0:
-            break
-        j = jacobian(problem, u)
-        kappa = condition_number(j)
-        s = sparsity(j)
-        j_dense = j.toarray()
-        a_tilde, b_tilde = hermitian_dilation(j_dense, -f)
+    def step(j, f, iteration):
+        a_tilde, b_tilde = hermitian_dilation(j.toarray(), -f)
         x_unit, extras = inner_solve(a_tilde, b_tilde, iteration)
         x_unit = download_state(x_unit, downloader, iteration)
         scale = recover_normalization(x_unit, a_tilde, b_tilde)
+        dim = j.shape[0]
         du = (scale * x_unit)[dim : 2 * dim]
 
         du_classical = lu_solve(j, -f)
         denom = np.linalg.norm(du) * np.linalg.norm(du_classical)
         cosine = float(np.dot(du, du_classical) / denom) if denom > 0 else 0.0
+        return du, {"direction_cosine": cosine, **extras}
 
-        u = u + du
-        if not np.all(np.isfinite(u)):
-            raise FloatingPointError("Newton iterate is not finite")
-        f = residual(problem, u)
-        norm = float(np.max(np.abs(f)))
-        trace.residuals.append(norm)
-        trace.kappas.append(kappa)
-        trace.sparsities.append(s)
-        trace.step_norms.append(float(np.max(np.abs(du))))
-        trace.extras["direction_cosine"].append(cosine)
-        for key, value in extras.items():
-            trace.extras.setdefault(key, []).append(value)
-    trace.iterations = len(trace.residuals)
-    trace.converged = norm < cfg.eps0
-    return u, trace
+    return step
 
 
 def qpf_hhl(
@@ -337,7 +294,6 @@ def qpf_hhl(
     eps_inverse**2 evaluated with the measured iteration count, maximal
     sparsity, and maximal condition number.
     """
-    cfg_newton = cfg_newton or NewtonConfig()
     cfg_hhl = cfg_hhl or HHLConfig()
 
     def inner(a_tilde, b_tilde, iteration):
@@ -349,7 +305,7 @@ def qpf_hhl(
         }
         return result.x_state, extras
 
-    u, trace = quantum_newton_loop(problem, cfg_newton, inner, downloader)
+    u, trace = newton_raphson(problem, cfg_newton, quantum_step(inner, downloader))
     if trace.iterations:
         trace.extras["asymptotic_cost_estimate"] = (
             trace.iterations

@@ -1,7 +1,11 @@
-"""Newton-Raphson outer loop with a pluggable inner linear solver.
+"""The one Newton-Raphson loop of the package and its exact LU inner step.
 
-The default inner solve is a sparse LU factorization; the dense variant
-serves as the independent oracle when regenerating golden fixtures.
+Every Newton power flow here (classical, QPF-HHL, QPF-VQLS, the scenario
+harvester, ``qpflow lcu --iterate``) runs ``newton_raphson``; only the
+inner step that returns dU from J dU = -F differs.  The default step,
+lu_step, is a sparse LU solve; run through dense_lu_solve it is the
+independent oracle that regenerates the golden fixtures.  The quantum step
+of QPF-HHL and QPF-VQLS lives in ``qpflow.hhl``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import PowerFlowProblem, condition_number, flat_start, hold_slack_angle, jacobian, residual, sparsity
+from .grid import PowerFlowProblem, condition_number, flat_start, jacobian, residual, sparsity
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 20
@@ -80,18 +84,33 @@ def dense_lu_solve(a, b: np.ndarray) -> np.ndarray:
     return lu_solve(dense, b)
 
 
+def lu_step(j, f: np.ndarray, iteration: int, solve=None) -> tuple[np.ndarray, dict]:
+    """Exact Newton step dU = -J^-1 F by ``solve`` (lu_solve when None).
+
+    The slack-angle row of J is the unit row e_1, so the exact step's entry 1
+    is -F[1] = -u[1]; taking it verbatim puts u[1] + dU[1] at exactly 0.0
+    instead of at round-off that differs between BLAS builds.
+    """
+    du = (solve or lu_solve)(j, -f)
+    du[1] = -f[1]
+    return du, {}
+
+
 def newton_raphson(
     problem: PowerFlowProblem,
     cfg: NewtonConfig | None = None,
-    linear_solver=lu_solve,
+    inner=None,
 ) -> tuple[np.ndarray, SolveTrace]:
-    """Iterate u <- u - J^-1 F until ||F||_inf < eps0 or k_max steps.
+    """Iterate u <- u + dU until ||F||_inf < eps0 or k_max steps.
 
-    Every iterate has its slack coordinate u[1] held at exactly 0 (see
-    grid.hold_slack_angle).  An already-converged initial guess returns
-    immediately with an empty trace.  Non-finite iterates raise.
+    ``inner(j, f, iteration)`` returns (dU, extras) for the sparse Jacobian
+    j and residual f; each extras value is appended to the trace-extras list
+    of its key.  The default inner step is lu_step.  An already-converged
+    initial guess returns immediately with an empty trace.  Non-finite
+    iterates raise FloatingPointError.
     """
     cfg = cfg or NewtonConfig()
+    inner = inner or lu_step
     u = flat_start(problem.n_bus) if cfg.u0 is None else np.array(cfg.u0, dtype=float)
     if u.size != problem.dim:
         raise ValueError(f"initial guess has length {u.size}, expected {problem.dim}")
@@ -99,14 +118,14 @@ def newton_raphson(
     trace = SolveTrace()
     f = residual(problem, u)
     norm = float(np.max(np.abs(f)))
-    for _ in range(cfg.k_max):
+    for iteration in range(cfg.k_max):
         if norm < cfg.eps0:
             break
         j = jacobian(problem, u)
         kappa = condition_number(j)
         s = sparsity(j)
-        du = linear_solver(j, -f)
-        u = hold_slack_angle(u + du)
+        du, extras = inner(j, f, iteration)
+        u = u + du
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("Newton iterate is not finite")
         f = residual(problem, u)
@@ -115,6 +134,8 @@ def newton_raphson(
         trace.kappas.append(kappa)
         trace.sparsities.append(s)
         trace.step_norms.append(float(np.max(np.abs(du))))
+        for key, value in extras.items():
+            trace.extras.setdefault(key, []).append(value)
     trace.iterations = len(trace.residuals)
     trace.converged = norm < cfg.eps0
     return u, trace

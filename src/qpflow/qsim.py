@@ -174,21 +174,6 @@ def depth_report(counter: DepthCounter) -> dict:
     }
 
 
-@dataclass
-class TrotterPlan:
-    """Product-formula evolution exp(i*t*H) split into m repetitions."""
-
-    terms: "LCUDecomposition"  # noqa: F821 - lcu imports qsim, not vice versa
-    t: float
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("trotter step count m must be >= 1")
-        if not self.terms.terms:
-            raise ValueError("empty term list")
-
-
 def ordered_terms(terms) -> list:
     """Deterministic term order: descending |a_i|, ties lexicographic."""
     return sorted(terms, key=lambda term: (-abs(term[1]), term[0].letters))
@@ -200,17 +185,6 @@ def apply_pauli_exponential(state: StateVector, p: PauliString, angle: float) ->
         raise ValueError(f"Pauli acts on {p.n} qubits, state has {state.n}")
     flip, sign, ycount = p.masks()
     amps = _kernels.pauli_exp_apply(state.amps, flip, sign, ycount, angle)
-    return StateVector(state.n, amps)
-
-
-def trotter_evolve(state: StateVector, plan: TrotterPlan) -> StateVector:
-    """Apply the m-step product formula for exp(i*t*H)."""
-    terms = ordered_terms(plan.terms.terms)
-    amps = state.amps
-    for _ in range(plan.m):
-        for pauli, coeff in terms:
-            flip, sign, ycount = pauli.masks()
-            amps = _kernels.pauli_exp_apply(amps, flip, sign, ycount, coeff * plan.t / plan.m)
     return StateVector(state.n, amps)
 
 
@@ -237,11 +211,6 @@ def _matrix_power(u: np.ndarray, k: int) -> np.ndarray:
     return w @ vh
 
 
-def _count_controlled_evolution(counter: DepthCounter, terms, reps: int) -> None:
-    for pauli, _ in terms:
-        counter.add_pauli_exp(pauli.weight, pauli.n_basis_changes, controlled=True, reps=reps)
-
-
 def _block_unitaries(ham, n_sys: int, clock_bits: int, t0: float, trotter_m: int):
     """Controlled-evolution unitary for each clock bit significance 2**j.
 
@@ -258,23 +227,61 @@ def _block_unitaries(ham, n_sys: int, clock_bits: int, t0: float, trotter_m: int
     return blocks
 
 
-def _iqpe_core(psi: np.ndarray, blocks, counter: DepthCounter, ham, trotter_m: int) -> np.ndarray:
-    """Adjoint phase-estimation circuit on psi shaped (2**c, 2**n_sys, tail).
+class PhaseEstimation:
+    """Phase estimation of exp(i*H*t0) on a clock register, run either way.
 
-    The tail axis carries registers appended after the system (e.g. an
-    ancilla); the circuit never touches it.
+    The controlled-evolution blocks are built once, so one instance serves
+    the forward circuit and its adjoint.  Register order is clock (qubits
+    0..clock_bits-1, value read big-endian), then the ham.n system qubits,
+    then (adjoint only) any trailing registers such as an ancilla, which
+    the circuit never touches.
     """
-    c = int(np.log2(psi.shape[0]))
-    psi = np.fft.ifft(psi, axis=0) * np.sqrt(psi.shape[0])
-    counter.add_qft(c)
-    rows = np.arange(psi.shape[0])
-    for j in reversed(range(c)):
-        hit = rows[(rows >> j) & 1 == 1]
-        psi[hit] = np.einsum("ba,rbt->rat", blocks[j].conj(), psi[hit])
-        _count_controlled_evolution(counter, ham.terms, trotter_m * 4**j)
-    psi = np.einsum("kr,rbt->kbt", hadamard(psi.shape[0]) / np.sqrt(psi.shape[0]), psi)
-    counter.add_single(c)
-    return psi
+
+    def __init__(self, ham, clock_bits: int, t0: float, trotter_m: int = 10):
+        if clock_bits < 1:
+            raise ValueError("clock_bits must be >= 1")
+        self.ham = ham
+        self.clock_bits = clock_bits
+        self.trotter_m = trotter_m
+        self.blocks = _block_unitaries(ham, ham.n, clock_bits, t0, trotter_m)
+
+    def _count_block(self, counter: DepthCounter, j: int) -> None:
+        for pauli, _ in self.ham.terms:
+            counter.add_pauli_exp(pauli.weight, pauli.n_basis_changes, controlled=True, reps=self.trotter_m * 4**j)
+
+    def forward(self, state: StateVector, counter: DepthCounter | None = None) -> StateVector:
+        """QPE on a fresh clock register; eigenphases lambda*t0/(2*pi) must lie in [0, 1)."""
+        counter = counter if counter is not None else DepthCounter()
+        c = self.clock_bits
+        psi = np.tile(state.amps, (1 << c, 1)) * (2.0 ** (-c / 2))
+        counter.add_single(c)  # Hadamards on the clock
+        rows = np.arange(1 << c)
+        for j, w in enumerate(self.blocks):
+            hit = rows[(rows >> j) & 1 == 1]
+            psi[hit] = psi[hit] @ w.T
+            self._count_block(counter, j)
+        # inverse QFT along the clock axis
+        psi = np.fft.fft(psi, axis=0) / np.sqrt(1 << c)
+        counter.add_qft(c)
+        return StateVector(c + state.n, psi.reshape(-1))
+
+    def adjoint(self, state: StateVector, counter: DepthCounter | None = None) -> StateVector:
+        """Exact adjoint of forward; the clock register is kept."""
+        counter = counter if counter is not None else DepthCounter()
+        c = self.clock_bits
+        if state.n < c + self.ham.n:
+            raise ValueError(f"state has {state.n} qubits, fewer than clock plus system ({c + self.ham.n})")
+        psi = state.amps.reshape(1 << c, 1 << self.ham.n, -1)
+        psi = np.fft.ifft(psi, axis=0) * np.sqrt(1 << c)
+        counter.add_qft(c)
+        rows = np.arange(1 << c)
+        for j in reversed(range(c)):
+            hit = rows[(rows >> j) & 1 == 1]
+            psi[hit] = np.einsum("ba,rbt->rat", self.blocks[j].conj(), psi[hit])
+            self._count_block(counter, j)
+        psi = np.einsum("kr,rbt->kbt", hadamard(1 << c) / np.sqrt(1 << c), psi)
+        counter.add_single(c)
+        return StateVector(state.n, psi.reshape(-1))
 
 
 def qpe(
@@ -285,29 +292,8 @@ def qpe(
     counter: DepthCounter | None = None,
     trotter_m: int = 10,
 ) -> StateVector:
-    """Quantum phase estimation of exp(i*H*t0) on a fresh clock register.
-
-    The returned register order is clock (qubits 0..clock_bits-1, value read
-    big-endian) then system.  Eigenphases lambda*t0/(2*pi) must lie in [0, 1).
-    """
-    if clock_bits < 1:
-        raise ValueError("clock_bits must be >= 1")
-    if counter is None:
-        counter = DepthCounter()
-    n_sys = state.n
-    c = clock_bits
-    psi = np.tile(state.amps, (1 << c, 1)) * (2.0 ** (-c / 2))
-    counter.add_single(c)  # Hadamards on the clock
-    blocks = _block_unitaries(ham, n_sys, c, t0, trotter_m)
-    rows = np.arange(1 << c)
-    for j, w in enumerate(blocks):
-        hit = rows[(rows >> j) & 1 == 1]
-        psi[hit] = psi[hit] @ w.T
-        _count_controlled_evolution(counter, ham.terms, trotter_m * 4**j)
-    # inverse QFT along the clock axis
-    psi = np.fft.fft(psi, axis=0) / np.sqrt(1 << c)
-    counter.add_qft(c)
-    return StateVector(c + n_sys, psi.reshape(-1))
+    """Quantum phase estimation of exp(i*H*t0); see PhaseEstimation.forward."""
+    return PhaseEstimation(ham, clock_bits, t0, trotter_m).forward(state, counter)
 
 
 def inverse_qpe(
@@ -318,19 +304,8 @@ def inverse_qpe(
     counter: DepthCounter | None = None,
     trotter_m: int = 10,
 ) -> StateVector:
-    """Exact adjoint of qpe with identical parameters; clock register kept."""
-    if clock_bits < 1:
-        raise ValueError("clock_bits must be >= 1")
-    if counter is None:
-        counter = DepthCounter()
-    c = clock_bits
-    n_sys = state.n - c
-    if n_sys < 1:
-        raise ValueError("state has no system register beyond the clock")
-    psi = state.amps.reshape(1 << c, 1 << n_sys, 1).copy()
-    blocks = _block_unitaries(ham, n_sys, c, t0, trotter_m)
-    psi = _iqpe_core(psi, blocks, counter, ham, trotter_m)
-    return StateVector(state.n, psi.reshape(-1))
+    """Exact adjoint of qpe with identical parameters; see PhaseEstimation.adjoint."""
+    return PhaseEstimation(ham, clock_bits, t0, trotter_m).adjoint(state, counter)
 
 
 def eigenvalue_inversion(

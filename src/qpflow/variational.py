@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PowerFlowProblem, RowKind
-from .hhl import recover_normalization
+from .hhl import quantum_step, recover_normalization
 from .lcu import LCUDecomposition, reconstruct
+from .newton import SolveTrace, newton_raphson
 from .qsim import StateVector
 
 
@@ -435,17 +436,13 @@ def qpf_vqls(
     opt: OptimizerConfig | None = None,
     downloader="exact",
     warm_start: bool = True,
-) -> tuple[np.ndarray, "SolveTrace"]:  # noqa: F821
+) -> tuple[np.ndarray, SolveTrace]:
     """Newton power flow with VQLS as the inner linear solver.
 
     The ansatz parameters warm-start from the previous outer iteration,
     with one cold restart whenever the warm run stalls above the retry
     floor.  Inner loss curves land in the trace extras.
     """
-    from .hhl import quantum_newton_loop
-    from .newton import NewtonConfig
-
-    cfg_newton = cfg_newton or NewtonConfig()
     opt = opt or OptimizerConfig()
     state = {"theta": None}
     inner_curves: list[list[float]] = []
@@ -471,7 +468,7 @@ def qpf_vqls(
         inner_records.append(rec)
         return rec.x_state, {"inner_loss": rec.loss_curve[-1], "inner_steps": rec.steps}
 
-    u, trace = quantum_newton_loop(problem, cfg_newton, inner, downloader)
+    u, trace = newton_raphson(problem, cfg_newton, quantum_step(inner, downloader))
     trace.extras["inner_loss_curves"] = inner_curves
     trace.extras["inner_records"] = inner_records
     return u, trace

@@ -59,6 +59,21 @@ class TestSolve:
         code = run_cli(["solve", CASE14, "--max-iter", "1", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [["solve", CASE3], ["diagnostics", CASE3], ["lcu", CASE3, "--iterate", "2"]],
+        ids=["solve", "diagnostics", "lcu-iterate"],
+    )
+    def test_non_finite_iterate_exit_code(self, args, tmp_path, monkeypatch, capsys):
+        # a step that leaves the finite numbers is a numerical failure, not an input error
+        import qpflow.newton
+
+        monkeypatch.setattr(qpflow.newton, "lu_solve", lambda a, b: np.full(b.shape, np.nan))
+        out = tmp_path / "x.out"
+        assert run_cli(args + ["--out", str(out)]) == 2
+        assert "error: Newton iterate is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["solve", CASE3, "--method", "newton", "--seed", "5"]
@@ -131,6 +146,12 @@ class TestLcu:
         out = tmp_path / "t.json"
         assert run_cli(["lcu", CASE3, "--iterate", "0", "--truncate", "5", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["term_count"] == 5
+
+    def test_negative_iterate_rejected(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        assert run_cli(["lcu", CASE3, "--iterate", "-1", "--out", str(out)]) == 1
+        assert "--iterate" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stats_schema(self, tmp_path):
         out = tmp_path / "stats.json"

@@ -119,6 +119,22 @@ class TestHhlSolve:
         err = min(np.max(np.abs(live - du)), np.max(np.abs(live + du)))
         assert err < 1e-6
 
+    def test_blocks_built_once_per_solve(self, monkeypatch):
+        # QPE and its adjoint share one set of controlled-evolution blocks
+        from qpflow import qsim
+
+        calls = []
+        build = qsim._block_unitaries
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(qsim, "_block_unitaries", counting)
+        res = hhl_solve(np.diag([1.0, 0.5]), np.array([1.0, 1.0]), HHLConfig(clock_bits=3))
+        assert len(calls) == 1
+        assert res.fidelity_vs_exact > 0.9
+
     def test_sampled_postselection_exhaustion(self):
         # force near-zero success probability via a tiny fixed C
         a = np.diag([1.0, 0.5])
