@@ -8,6 +8,7 @@ from .grid import (
     GridCase,
     PowerFlowProblem,
     RowKind,
+    SolverError,
     build_admittance,
     build_quadratic_forms,
     condition_number,
@@ -42,7 +43,7 @@ from .resources import (
     qram_infidelity,
     sweep,
 )
-from .shadows import ShadowEstimate, ShadowSnapshot, collect_shadows, estimate_pauli, reconstruct_real_state
+from .shadows import ShadowEstimate, ShadowSnapshots, collect_shadows, estimate_pauli, reconstruct_real_state
 from .variational import (
     Ansatz,
     OptimizerConfig,

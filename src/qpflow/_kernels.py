@@ -1,11 +1,9 @@
-"""Numeric hot loops with a numba fast path and a pure-numpy fallback.
+"""Vectorized numpy kernels for the package's numeric hot loops.
 
-The backend is chosen once at import time: numba is used when it imports
-cleanly, unless ``QPFLOW_BACKEND=numpy`` is set in the environment.  Both
-paths evaluate the same operations in the same order; results agree to the
-last bit except where numpy's vectorized complex multiply contracts with
-FMA (ulp-level).  ``benchmarks/bench_kernels.py`` times the two paths
-against each other.
+Pauli exponentials, Pauli-coefficient extraction, and classical-shadow
+sampling and estimation.  Each kernel works on index arrays and bit masks
+instead of dense Pauli matrices, so its cost is linear in the state
+dimension (times 4**n words for the coefficient transform).
 
 Index convention used throughout the package: qubit 0 is the most
 significant bit of a basis-state index (big-endian), so the bit position
@@ -14,65 +12,44 @@ of qubit ``q`` in an ``n``-qubit index is ``n - 1 - q``.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCED_NUMPY = os.environ.get("QPFLOW_BACKEND", "").lower() == "numpy"
-
-try:
-    if _FORCED_NUMPY:
-        raise ImportError("numpy backend forced via QPFLOW_BACKEND")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
+# Read by benchmark environment records; numpy is the only backend.
+USING_NUMBA = False
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_SNAPSHOT_CHUNK = 1024  # snapshots rotated together, to bound the working block
 # i**y for y = 0..3, used for the phase of Pauli words containing Y letters
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
+def pauli_exp_apply(amps, flip, sign_mask, y_count, angle):
+    """Apply exp(i*angle*P) to a statevector, P given by its bit masks.
 
-
-@njit(cache=True, inline="always")
-def _parity(x):
-    x ^= x >> 32
-    x ^= x >> 16
-    x ^= x >> 8
-    x ^= x >> 4
-    x ^= x >> 2
-    x ^= x >> 1
-    return x & 1
-
-
-@njit(cache=True)
-def _pauli_exp_apply_nb(amps, flip, sign_mask, cos_t, fac, out):
+    ``flip`` carries the X|Y letters, ``sign_mask`` the Z|Y letters and
+    ``y_count`` the number of Y letters of the Pauli word.
+    """
     # out = cos(t)*psi + i*sin(t)*P*psi, with (P psi)[j] = phase(j^flip)*psi[j^flip]
-    for j in range(amps.shape[0]):
-        k = j ^ flip
-        if _parity(k & sign_mask):
-            out[j] = cos_t * amps[j] - fac * amps[k]
-        else:
-            out[j] = cos_t * amps[j] + fac * amps[k]
+    fac = 1j * np.sin(angle) * _I_POW[y_count & 3]
+    k = np.arange(amps.shape[0], dtype=np.int64) ^ np.int64(flip)
+    signs = 1.0 - 2.0 * (np.bitwise_count(k & np.int64(sign_mask)) & 1)
+    out = np.empty_like(amps)
+    np.multiply(fac * signs, amps[k], out=out)
+    out += np.cos(angle) * amps
+    return out
 
 
-@njit(cache=True)
-def _pauli_coefficients_nb(a, n, coeffs):
+def pauli_coefficients(a, n):
+    """All 4**n Pauli-basis coefficients Tr(P_p A)/2**n of a Hermitian matrix.
+
+    Index p encodes the Pauli word base-4 (0=I,1=X,2=Y,3=Z), qubit 0 in the
+    most significant digit.  Imaginary parts (zero for Hermitian input up to
+    rounding) are discarded.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    coeffs = np.empty(4**n, dtype=np.float64)
     for p in range(4**n):
         flip = 0
         sign = 0
@@ -88,142 +65,27 @@ def _pauli_coefficients_nb(a, n, coeffs):
                 ycount += 1
             elif d == 3:  # Z
                 sign |= 1 << pos
-        acc = 0.0 + 0.0j
-        for i in range(dim):
-            k = i ^ flip
-            v = a[k, i]
-            if _parity(k & sign):
-                acc -= v
-            else:
-                acc += v
-        ym = ycount & 3
-        if ym == 0:
-            iy = 1.0 + 0.0j
-        elif ym == 1:
-            iy = 1.0j
-        elif ym == 2:
-            iy = -1.0 + 0.0j
-        else:
-            iy = -1.0j
-        coeffs[p] = (iy * acc).real / dim
-
-
-@njit(cache=True)
-def _sample_snapshots_nb(amps, n, bases, unif, out):
-    dim = amps.shape[0]
-    buf = np.empty(dim, np.complex128)
-    for s in range(bases.shape[0]):
-        for i in range(dim):
-            buf[i] = amps[i]
-        for q in range(n):
-            b = bases[s, q]
-            if b == 2:  # Z basis: no rotation
-                continue
-            step = 1 << (n - 1 - q)
-            base = 0
-            while base < dim:
-                for off in range(step):
-                    i0 = base + off
-                    i1 = i0 + step
-                    a0 = buf[i0]
-                    a1 = buf[i1]
-                    if b == 0:  # X basis
-                        buf[i0] = (a0 + a1) * _INV_SQRT2
-                        buf[i1] = (a0 - a1) * _INV_SQRT2
-                    else:  # Y basis
-                        buf[i0] = (a0 - 1j * a1) * _INV_SQRT2
-                        buf[i1] = (a0 + 1j * a1) * _INV_SQRT2
-                base += 2 * step
-        u = unif[s]
-        acc = 0.0
-        pick = dim - 1
-        for i in range(dim):
-            acc += buf[i].real ** 2 + buf[i].imag ** 2
-            if u < acc:
-                pick = i
-                break
-        out[s] = pick
-
-
-@njit(cache=True)
-def _pauli_estimates_nb(bases, outcomes, letters, n, out):
-    for s in range(bases.shape[0]):
-        est = 1.0
-        for q in range(n):
-            letter = letters[q]
-            if letter == 0:  # identity qubit
-                continue
-            if bases[s, q] != letter - 1:
-                est = 0.0
-                break
-            bit = (outcomes[s] >> (n - 1 - q)) & 1
-            est *= 3.0 * (1.0 - 2.0 * bit)
-        out[s] = est
-
-
-@njit(cache=True)
-def _ketbra_estimates_nb(bases, outcomes, n, i, j, table, out):
-    for s in range(bases.shape[0]):
-        est = 1.0 + 0.0j
-        for q in range(n):
-            pos = n - 1 - q
-            iq = (i >> pos) & 1
-            jq = (j >> pos) & 1
-            if iq == jq:
-                case = iq
-            elif iq == 0:
-                case = 2
-            else:
-                case = 3
-            bit = (outcomes[s] >> pos) & 1
-            est *= table[case, bases[s, q], bit]
-            if est == 0.0:
-                break
-        out[s] = est
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _pauli_exp_apply_np(amps, flip, sign_mask, cos_t, fac, out):
-    idx = np.arange(amps.shape[0], dtype=np.int64)
-    k = idx ^ flip
-    signs = 1.0 - 2.0 * (np.bitwise_count(k & sign_mask) & 1)
-    np.multiply(fac * signs, amps[k], out=out)
-    out += cos_t * amps
-
-
-def _pauli_coefficients_np(a, n, coeffs):
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    for p in range(4**n):
-        flip = 0
-        sign = 0
-        ycount = 0
-        for q in range(n):
-            d = (p >> (2 * (n - 1 - q))) & 3
-            pos = n - 1 - q
-            if d == 1:
-                flip |= 1 << pos
-            elif d == 2:
-                flip |= 1 << pos
-                sign |= 1 << pos
-                ycount += 1
-            elif d == 3:
-                sign |= 1 << pos
         k = idx ^ flip
         signs = 1.0 - 2.0 * (np.bitwise_count(k & sign) & 1)
         acc = np.sum(signs * a[k, idx])
         coeffs[p] = (_I_POW[ycount & 3] * acc).real / dim
+    return coeffs
 
 
-def _sample_snapshots_np(amps, n, bases, unif, out, chunk=1024):
+def sample_snapshots(amps, n, bases, unif):
+    """Born-rule outcomes of per-qubit Pauli-basis measurements.
+
+    ``bases[s, q]`` in {0:X, 1:Y, 2:Z}; ``unif[s]`` the uniform variate
+    consumed by snapshot ``s``.  Returns outcome bitstrings as integers.
+    """
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    bases = np.ascontiguousarray(bases, dtype=np.uint8)
+    unif = np.ascontiguousarray(unif, dtype=np.float64)
     dim = amps.shape[0]
     count = bases.shape[0]
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
+    out = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, _SNAPSHOT_CHUNK):
+        hi = min(lo + _SNAPSHOT_CHUNK, count)
         block = np.broadcast_to(amps, (hi - lo, dim)).copy()
         for q in range(n):
             step = 1 << (n - 1 - q)
@@ -242,95 +104,9 @@ def _sample_snapshots_np(amps, n, bases, unif, out, chunk=1024):
                     shaped[rows, :, 1, :] = (a0 + 1j * a1) * _INV_SQRT2
         probs = block.real**2 + block.imag**2
         cum = np.cumsum(probs, axis=1)
-        picks = np.empty(hi - lo, dtype=np.int64)
-        for r in range(hi - lo):
-            picks[r] = min(np.searchsorted(cum[r], unif[lo + r], side="right"), dim - 1)
-        out[lo:hi] = picks
-
-
-def _pauli_estimates_np(bases, outcomes, letters, n, out):
-    out[:] = 1.0
-    for q in range(n):
-        letter = letters[q]
-        if letter == 0:
-            continue
-        match = bases[:, q] == letter - 1
-        bit = (outcomes >> (n - 1 - q)) & 1
-        out *= np.where(match, 3.0 * (1.0 - 2.0 * bit), 0.0)
-
-
-def _ketbra_estimates_np(bases, outcomes, n, i, j, table, out):
-    out[:] = 1.0
-    for q in range(n):
-        pos = n - 1 - q
-        iq = (i >> pos) & 1
-        jq = (j >> pos) & 1
-        if iq == jq:
-            case = iq
-        elif iq == 0:
-            case = 2
-        else:
-            case = 3
-        bit = ((outcomes >> pos) & 1).astype(np.int64)
-        out *= table[case, bases[:, q], bit]
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-    _pauli_exp_apply = _pauli_exp_apply_nb
-    _pauli_coefficients = _pauli_coefficients_nb
-    _sample_snapshots = _sample_snapshots_nb
-    _pauli_estimates = _pauli_estimates_nb
-    _ketbra_estimates = _ketbra_estimates_nb
-else:
-    _pauli_exp_apply = _pauli_exp_apply_np
-    _pauli_coefficients = _pauli_coefficients_np
-    _sample_snapshots = _sample_snapshots_np
-    _pauli_estimates = _pauli_estimates_np
-    _ketbra_estimates = _ketbra_estimates_np
-
-
-def pauli_exp_apply(amps, flip, sign_mask, y_count, angle):
-    """Apply exp(i*angle*P) to a statevector, P given by its bit masks.
-
-    ``flip`` carries the X|Y letters, ``sign_mask`` the Z|Y letters and
-    ``y_count`` the number of Y letters of the Pauli word.
-    """
-    out = np.empty_like(amps)
-    fac = 1j * np.sin(angle) * _I_POW[y_count & 3]
-    _pauli_exp_apply(amps, np.int64(flip), np.int64(sign_mask), np.cos(angle), fac, out)
-    return out
-
-
-def pauli_coefficients(a, n):
-    """All 4**n Pauli-basis coefficients Tr(P_p A)/2**n of a Hermitian matrix.
-
-    Index p encodes the Pauli word base-4 (0=I,1=X,2=Y,3=Z), qubit 0 in the
-    most significant digit.  Imaginary parts (zero for Hermitian input up to
-    rounding) are discarded.
-    """
-    coeffs = np.empty(4**n, dtype=np.float64)
-    _pauli_coefficients(np.ascontiguousarray(a, dtype=np.complex128), n, coeffs)
-    return coeffs
-
-
-def sample_snapshots(amps, n, bases, unif):
-    """Born-rule outcomes of per-qubit Pauli-basis measurements.
-
-    ``bases[s, q]`` in {0:X, 1:Y, 2:Z}; ``unif[s]`` the uniform variate
-    consumed by snapshot ``s``.  Returns outcome bitstrings as integers.
-    """
-    out = np.empty(bases.shape[0], dtype=np.int64)
-    _sample_snapshots(
-        np.ascontiguousarray(amps, dtype=np.complex128),
-        n,
-        np.ascontiguousarray(bases, dtype=np.uint8),
-        np.ascontiguousarray(unif, dtype=np.float64),
-        out,
-    )
+        # cum never decreases along a row, so counting entries <= u is the
+        # right-sided searchsorted; the clamp absorbs cum[-1] rounding below u
+        out[lo:hi] = np.minimum(np.count_nonzero(cum <= unif[lo:hi, None], axis=1), dim - 1)
     return out
 
 
@@ -340,14 +116,14 @@ def pauli_estimates(bases, outcomes, letters, n):
     ``letters[q]`` in {0:I, 1:X, 2:Y, 3:Z}.  A snapshot contributes
     3*(+-1) per matching non-identity qubit and 0 on any basis mismatch.
     """
-    out = np.empty(bases.shape[0], dtype=np.float64)
-    _pauli_estimates(
-        np.ascontiguousarray(bases, dtype=np.uint8),
-        np.ascontiguousarray(outcomes, dtype=np.int64),
-        np.ascontiguousarray(letters, dtype=np.uint8),
-        n,
-        out,
-    )
+    out = np.ones(bases.shape[0], dtype=np.float64)
+    for q in range(n):
+        letter = letters[q]
+        if letter == 0:
+            continue
+        match = bases[:, q] == letter - 1
+        bit = (outcomes >> (n - 1 - q)) & 1
+        out *= np.where(match, 3.0 * (1.0 - 2.0 * bit), 0.0)
     return out
 
 
@@ -367,14 +143,17 @@ _KETBRA_TABLE[3, 1] = (1.5j, -1.5j)
 
 def ketbra_estimates(bases, outcomes, n, i, j):
     """Single-snapshot estimates of the matrix element <i|rho|j>."""
-    out = np.empty(bases.shape[0], dtype=np.complex128)
-    _ketbra_estimates(
-        np.ascontiguousarray(bases, dtype=np.uint8),
-        np.ascontiguousarray(outcomes, dtype=np.int64),
-        n,
-        int(i),
-        int(j),
-        _KETBRA_TABLE,
-        out,
-    )
+    out = np.ones(bases.shape[0], dtype=np.complex128)
+    for q in range(n):
+        pos = n - 1 - q
+        iq = (i >> pos) & 1
+        jq = (j >> pos) & 1
+        if iq == jq:
+            case = iq
+        elif iq == 0:
+            case = 2
+        else:
+            case = 3
+        bit = ((outcomes >> pos) & 1).astype(np.int64)
+        out *= _KETBRA_TABLE[case, bases[:, q], bit]
     return out

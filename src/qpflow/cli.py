@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .fixtures import harvest_jacobian_dilations
-from .grid import CaseError, build_quadratic_forms, flat_start, jacobian, parse_case, residual
+from .grid import CaseError, SolverError, build_quadratic_forms, flat_start, jacobian, parse_case, residual
 from .hhl import HHLConfig, ShadowReadout, qpf_hhl
 from .lcu import hermitian_dilation, lcu_statistics, pauli_decompose, truncate
 from .newton import NewtonConfig, SingularJacobianError, newton_raphson
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     except (CaseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (SingularJacobianError, FloatingPointError) as exc:
+    except (SingularJacobianError, SolverError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class RowKind(enum.Enum):
 
 class CaseError(ValueError):
     """Raised for malformed or physically inconsistent case data."""
+
+
+class SolverError(RuntimeError):
+    """Raised when a numerical routine fails on valid input, e.g. through shot noise."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,15 @@ def flat_start(n_bus: int) -> np.ndarray:
     return u
 
 
+def _finite(entry: dict, key: str, where: str, default: float | None = None) -> float:
+    """Numeric case field ``key`` as a float: a finite int or float, not a bool."""
+    value = entry.get(key, default)
+    # the magnitude test also rejects NaN and ints beyond the float range
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise CaseError(f"{where} needs a finite {key}, got {value!r}")
+
+
 def parse_case(data: bytes | str) -> GridCase:
     """Parse a case file (JSON) into a validated, reordered GridCase."""
     try:
@@ -112,6 +126,8 @@ def parse_case(data: bytes | str) -> GridCase:
     for key in ("buses", "branches"):
         if key not in raw:
             raise CaseError(f"case is missing the {key!r} key")
+        if not isinstance(raw[key], list) or not all(isinstance(e, dict) for e in raw[key]):
+            raise CaseError(f"case {key!r} must be a list of objects")
 
     buses = []
     seen_ids = set()
@@ -127,28 +143,22 @@ def parse_case(data: bytes | str) -> GridCase:
             kind = BusKind(kind_raw)
         except ValueError:
             raise CaseError(f"bus {bid}: unknown kind {kind_raw!r}") from None
+        where = f"{kind.value} bus {bid}"
         if kind is BusKind.SLACK:
-            v_set = entry.get("v_set")
-            theta = entry.get("theta_set", 0.0)
-            if v_set is None or not np.isfinite(v_set) or v_set <= 0:
-                raise CaseError(f"slack bus {bid} needs v_set > 0")
-            if theta != 0.0:
-                raise CaseError(f"slack bus {bid}: nonzero theta_set is not supported")
-            buses.append(Bus(bid, kind, v_set=float(v_set), theta_set=0.0))
+            v_set = _finite(entry, "v_set", where)
+            if v_set <= 0:
+                raise CaseError(f"{where} needs v_set > 0")
+            if entry.get("theta_set", 0.0) != 0.0:
+                raise CaseError(f"{where}: nonzero theta_set is not supported")
+            buses.append(Bus(bid, kind, v_set=v_set, theta_set=0.0))
         elif kind is BusKind.PV:
-            v_set = entry.get("v_set")
-            p_gen = entry.get("p_gen")
-            if v_set is None or not np.isfinite(v_set) or v_set <= 0:
-                raise CaseError(f"pv bus {bid} needs v_set > 0")
-            if p_gen is None or not np.isfinite(p_gen):
-                raise CaseError(f"pv bus {bid} needs a finite p_gen")
-            buses.append(Bus(bid, kind, v_set=float(v_set), p_gen=float(p_gen)))
+            v_set = _finite(entry, "v_set", where)
+            if v_set <= 0:
+                raise CaseError(f"{where} needs v_set > 0")
+            buses.append(Bus(bid, kind, v_set=v_set, p_gen=_finite(entry, "p_gen", where)))
         else:
-            p_load = entry.get("p_load")
-            q_load = entry.get("q_load")
-            if p_load is None or q_load is None or not np.isfinite(p_load) or not np.isfinite(q_load):
-                raise CaseError(f"pq bus {bid} needs finite p_load and q_load")
-            buses.append(Bus(bid, kind, p_load=float(p_load), q_load=float(q_load)))
+            p_load, q_load = _finite(entry, "p_load", where), _finite(entry, "q_load", where)
+            buses.append(Bus(bid, kind, p_load=p_load, q_load=q_load))
 
     slack_count = sum(b.kind is BusKind.SLACK for b in buses)
     if slack_count == 0:
@@ -159,14 +169,15 @@ def parse_case(data: bytes | str) -> GridCase:
     branches = []
     for entry in raw["branches"]:
         f, t = entry.get("from"), entry.get("to")
-        if f not in seen_ids or t not in seen_ids:
+        if not (isinstance(f, int) and isinstance(t, int)) or f not in seen_ids or t not in seen_ids:
             raise CaseError(f"branch {f}-{t} references an unknown bus")
         if f == t:
             raise CaseError(f"branch endpoints coincide at bus {f}")
-        r, x = float(entry.get("r", 0.0)), float(entry.get("x", 0.0))
+        where = f"branch {f}-{t}"
+        r, x = _finite(entry, "r", where, 0.0), _finite(entry, "x", where, 0.0)
         if r == 0.0 and x == 0.0:
-            raise CaseError(f"branch {f}-{t} has zero impedance")
-        branches.append(Branch(f, t, r, x, float(entry.get("b_sh", 0.0))))
+            raise CaseError(f"{where} has zero impedance")
+        branches.append(Branch(f, t, r, x, _finite(entry, "b_sh", where, 0.0)))
 
     # connectivity over the branch graph
     if len(buses) > 1:

@@ -249,7 +249,7 @@ def download_state(x_state: np.ndarray, downloader, iteration: int) -> np.ndarra
         seed = np.random.SeedSequence(entropy=downloader.seed, spawn_key=(iteration,))
         state = StateVector.from_vector(x_state)
         snaps = collect_shadows(state, downloader.samples, seed)
-        return reconstruct_real_state(snaps, n=state.n)
+        return reconstruct_real_state(snaps)
     raise ValueError(f"unknown downloader {downloader!r}")
 
 

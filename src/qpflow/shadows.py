@@ -10,33 +10,40 @@ this way.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .grid import SolverError
 from .qsim import PauliString, StateVector
 
-_BASIS_LETTERS = "XYZ"
 
+@dataclass(frozen=True, eq=False)
+class ShadowSnapshots:
+    """Random-Pauli snapshots as arrays, one row per shot.
 
-@dataclass(frozen=True)
-class ShadowSnapshot:
-    basis: str  # per-qubit measurement basis, e.g. "XZY"
-    outcome: str  # measured bitstring, qubit 0 leftmost
+    ``bases[s, q]`` in {0:X, 1:Y, 2:Z} is the basis qubit ``q`` was measured
+    in; ``outcomes[s]`` is the measured bitstring as an integer, qubit 0 in
+    the most significant bit.
+    """
+
+    bases: np.ndarray  # uint8[S, n]
+    outcomes: np.ndarray  # int64[S]
 
     def __post_init__(self):
-        if len(self.basis) != len(self.outcome):
-            raise ValueError("basis and outcome lengths differ")
+        if self.bases.ndim != 2 or self.outcomes.shape != self.bases.shape[:1]:
+            raise ValueError("need bases of shape (S, n) and outcomes of shape (S,)")
 
-    def to_json(self) -> str:
-        return json.dumps({"basis": self.basis, "outcome": self.outcome})
+    @property
+    def n(self) -> int:
+        return self.bases.shape[1]
 
-    @classmethod
-    def from_json(cls, line: str) -> "ShadowSnapshot":
-        raw = json.loads(line)
-        return cls(raw["basis"], raw["outcome"])
+    def __len__(self) -> int:
+        return self.bases.shape[0]
+
+    def __getitem__(self, rows: slice) -> "ShadowSnapshots":
+        return ShadowSnapshots(self.bases[rows], self.outcomes[rows])
 
 
 @dataclass
@@ -51,18 +58,7 @@ class ShadowEstimate:
             raise ValueError("need samples_used >= batches >= 1")
 
 
-def _snapshots_to_arrays(snapshots: list[ShadowSnapshot]) -> tuple[np.ndarray, np.ndarray, int]:
-    n = len(snapshots[0].basis)
-    bases = np.empty((len(snapshots), n), dtype=np.uint8)
-    outcomes = np.empty(len(snapshots), dtype=np.int64)
-    for s, snap in enumerate(snapshots):
-        for q, ch in enumerate(snap.basis):
-            bases[s, q] = _BASIS_LETTERS.index(ch)
-        outcomes[s] = int(snap.outcome, 2)
-    return bases, outcomes, n
-
-
-def collect_shadows(state: StateVector, count: int, seed) -> list[ShadowSnapshot]:
+def collect_shadows(state: StateVector, count: int, seed) -> ShadowSnapshots:
     """Draw ``count`` independent random-Pauli snapshots of a state.
 
     ``seed`` feeds numpy's SeedSequence machinery, so any of an int, a
@@ -74,15 +70,7 @@ def collect_shadows(state: StateVector, count: int, seed) -> list[ShadowSnapshot
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     bases = rng.integers(0, 3, size=(count, state.n), dtype=np.uint8)
     unif = rng.random(count)
-    outcomes = _kernels.sample_snapshots(state.amps, state.n, bases, unif)
-    width = state.n
-    return [
-        ShadowSnapshot(
-            "".join(_BASIS_LETTERS[b] for b in bases[s]),
-            format(outcomes[s], f"0{width}b"),
-        )
-        for s in range(count)
-    ]
+    return ShadowSnapshots(bases, _kernels.sample_snapshots(state.amps, state.n, bases, unif))
 
 
 def _median_of_means(values: np.ndarray, batches: int) -> float:
@@ -90,22 +78,22 @@ def _median_of_means(values: np.ndarray, batches: int) -> float:
     return float(np.median([g.mean() for g in groups]))
 
 
-def estimate_pauli(snapshots: list[ShadowSnapshot], o: PauliString, batches: int = 10) -> ShadowEstimate:
+def estimate_pauli(snapshots: ShadowSnapshots, o: PauliString, batches: int = 10) -> ShadowEstimate:
     """Median-of-means estimate of <O> from snapshots.
 
     Snapshots split in order into ``batches`` contiguous groups, so
-    estimates over two disjoint snapshot lists merge consistently with the
+    estimates over two disjoint snapshot sets merge consistently with the
     estimate over their concatenation when batch boundaries align.
     """
     if not snapshots:
-        raise ValueError("empty snapshot list")
+        raise ValueError("empty snapshot set")
     if o.weight == 0:
         return ShadowEstimate(1.0, o, len(snapshots), 1)
     batches = max(1, min(batches, len(snapshots)))
-    bases, outcomes, n = _snapshots_to_arrays(snapshots)
+    n = snapshots.n
     if o.n != n:
         raise ValueError(f"observable acts on {o.n} qubits, snapshots have {n}")
-    estimates = _kernels.pauli_estimates(bases, outcomes, o.codes(), n)
+    estimates = _kernels.pauli_estimates(snapshots.bases, snapshots.outcomes, o.codes(), n)
     return ShadowEstimate(_median_of_means(estimates, batches), o, len(snapshots), batches)
 
 
@@ -113,25 +101,19 @@ def _ketbra_mean(bases, outcomes, n, i, j) -> complex:
     return complex(np.mean(_kernels.ketbra_estimates(bases, outcomes, n, i, j)))
 
 
-def reconstruct_real_state(
-    snapshots: list[ShadowSnapshot],
-    support_hint: list[int] | None = None,
-    n: int | None = None,
-) -> np.ndarray:
+def reconstruct_real_state(snapshots: ShadowSnapshots, support_hint: list[int] | None = None) -> np.ndarray:
     """Reconstruct a state with real amplitudes from random-Pauli snapshots.
 
     Diagonal weights come from projector estimates; indices whose estimate
     sits below a 3-sigma statistical floor are zeroed (sparsity assumption).
     Relative signs come from off-diagonal real parts along a star anchored
     at the heaviest support index.  The output is unit-normalized with the
-    anchor sign fixed positive.
+    anchor sign fixed positive.  Raises SolverError when the snapshots are
+    too few to fix the support, a relative sign or a nonzero vector.
     """
     if not snapshots:
-        raise ValueError("empty snapshot list")
-    bases, outcomes, nq = _snapshots_to_arrays(snapshots)
-    if n is not None and n != nq:
-        raise ValueError(f"stated qubit count {n} does not match snapshots ({nq})")
-    n = nq
+        raise ValueError("empty snapshot set")
+    bases, outcomes, n = snapshots.bases, snapshots.outcomes, snapshots.n
     dim = 1 << n
     count = len(snapshots)
     candidates = list(support_hint) if support_hint is not None else list(range(dim))
@@ -145,7 +127,7 @@ def reconstruct_real_state(
 
     support = np.nonzero(weights > 0)[0]
     if support.size == 0:
-        raise ValueError("support estimate is empty; too few snapshots or no sparse structure")
+        raise SolverError("support estimate is empty; too few snapshots or no sparse structure")
 
     anchor = int(support[np.argmax(weights[support])])
     signs = np.zeros(dim)
@@ -156,11 +138,11 @@ def reconstruct_real_state(
         # 2*Re<anchor|rho|idx> estimates 2*psi_anchor*psi_idx for real states
         edge = 2.0 * _ketbra_mean(bases, outcomes, n, anchor, int(idx)).real
         if edge == 0.0:
-            raise ValueError(f"sign edge {anchor}-{idx} has no matching snapshots")
+            raise SolverError(f"sign edge {anchor}-{idx} has no matching snapshots")
         signs[idx] = 1.0 if edge > 0 else -1.0
 
     vec = signs * np.sqrt(weights)
     norm = np.linalg.norm(vec)
     if norm == 0:
-        raise ValueError("reconstructed vector is zero")
+        raise SolverError("reconstructed vector is zero")
     return vec / norm

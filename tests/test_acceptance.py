@@ -255,12 +255,10 @@ def test_criterion_09_shadows():
     o = PauliString(2, "XX")
     full = estimate_pauli(snaps, o, batches=10)
     from qpflow._kernels import pauli_estimates
-    from qpflow.shadows import _snapshots_to_arrays
 
     merged = []
     for part in (snaps[:10_000], snaps[10_000:]):
-        bases, outcomes, nq = _snapshots_to_arrays(part)
-        est = pauli_estimates(bases, outcomes, o.codes(), nq)
+        est = pauli_estimates(part.bases, part.outcomes, o.codes(), part.n)
         merged.extend(g.mean() for g in np.array_split(est, 5))
     assert full.value == pytest.approx(float(np.median(merged)), abs=1e-12)
     elapsed = time.time() - start

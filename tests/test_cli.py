@@ -17,6 +17,17 @@ def run_cli(args):
     return main(args)
 
 
+# one malformed field each, applied to a copy of case3
+BAD_CASE_FIELDS = {
+    "v_set-string": lambda c: c["buses"][0].update(v_set="1.0"),
+    "p_load-string": lambda c: c["buses"][2].update(p_load="0.1"),
+    "r-list": lambda c: c["branches"][0].update(r=[0.01]),
+    "from-list": lambda c: c["branches"][0].update({"from": [1]}),
+    "buses-of-ints": lambda c: c.update(buses=[1]),
+    "buses-object": lambda c: c.update(buses={"a": 1}),
+}
+
+
 class TestSolve:
     def test_newton_case3(self, tmp_path):
         out = tmp_path / "run.json"
@@ -73,6 +84,28 @@ class TestSolve:
         assert run_cli(args + ["--out", str(out)]) == 2
         assert "error: Newton iterate is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_shot_noise_failure_exit_code(self, tmp_path, capsys):
+        # 5 shots cannot fix a support: a numerical failure; 0 shots is an input error
+        out = tmp_path / "x.json"
+        args = ["solve", CASE3, "--method", "hhl", "--downloader", "shadows", "--max-iter", "1", "--seed", "0"]
+        assert run_cli(args + ["--shots", "5", "--out", str(out)]) == 2
+        assert "error: support estimate is empty" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(args + ["--shots", "0", "--out", str(out)]) == 1
+        assert "error: count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", BAD_CASE_FIELDS.values(), ids=BAD_CASE_FIELDS.keys())
+    def test_bad_case_field_type_is_input_error(self, edit, tmp_path, capsys):
+        with open(CASE3) as fh:
+            raw = json.load(fh)
+        edit(raw)
+        case = tmp_path / "bad.json"
+        case.write_text(json.dumps(raw))
+        assert run_cli(["solve", str(case), "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
