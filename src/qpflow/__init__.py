@@ -29,9 +29,7 @@ from .qsim import (
     apply_pauli_exponential,
     depth_report,
     eigenvalue_inversion,
-    inverse_qpe,
     measure_ancilla_postselect,
-    qpe,
 )
 from .resources import (
     DepthQuery,

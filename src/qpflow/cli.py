@@ -18,7 +18,8 @@ from .fixtures import harvest_jacobian_dilations
 from .grid import CaseError, SolverError, build_quadratic_forms, flat_start, jacobian, parse_case, residual
 from .hhl import HHLConfig, ShadowReadout, qpf_hhl
 from .lcu import hermitian_dilation, lcu_statistics, pauli_decompose, truncate
-from .newton import NewtonConfig, SingularJacobianError, newton_raphson
+from .newton import NewtonConfig, SingularJacobianError, diagnostics_csv, newton_raphson
+from .qsim import ordered_terms
 from .resources import (
     LOG_BASE_NOTE,
     DepthQuery,
@@ -29,7 +30,7 @@ from .resources import (
     qram_infidelity,
     sweep,
 )
-from .variational import Ansatz, OptimizerConfig, qpf_vqls, vqpf_from_power_flow, vqpf_solve_with_record
+from .variational import Ansatz, OptimizerConfig, qpf_vqls, vqpf_from_power_flow, vqpf_solve
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -58,14 +59,35 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _option(args, cfg: dict, name: str, default):
-    """Flags override config-file values, which override defaults."""
+def _number(value, kind, where: str):
+    """``value`` as ``kind``: an int for int, a finite int or float for float; never a bool."""
+    allowed = int if kind is int else (int, float)
+    # the magnitude test also rejects NaN and ints beyond the float range
+    if isinstance(value, allowed) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return kind(value)
+    raise CaseError(f"{where} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
+
+
+def _option(args, cfg: dict, name: str, default, kind=None):
+    """Flags override config-file values, which override defaults.
+
+    With ``kind`` (int or float) a config-file value is type-checked by _number.
+    """
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in cfg:
-        return cfg[name]
-    return default
+    if name not in cfg:
+        return default
+    return cfg[name] if kind is None else _number(cfg[name], kind, f"config value {name!r}")
+
+
+def _sweep_range(grid: dict, key: str, default: list | None = None) -> list:
+    """Sweep range ``key`` as a list of integers; only clock_bits may hold None (clock = n)."""
+    values = grid.get(key, default)
+    if not isinstance(values, list):
+        raise CaseError(f"sweep range {key!r} must be a list, got {values!r}")
+    where = f"sweep range {key!r} entry"
+    return [v if v is None and key == "clock_bits" else _number(v, int, where) for v in values]
 
 
 def _write_output(args, payload: bytes) -> None:
@@ -104,32 +126,32 @@ def cmd_solve(args) -> int:
     case = _read_case(args.case)
     problem = build_quadratic_forms(case)
     method = _option(args, cfg, "method", "newton")
-    max_iter = int(_option(args, cfg, "max_iter", 20))
-    tol = float(_option(args, cfg, "tol", 1e-8))
+    max_iter = _option(args, cfg, "max_iter", 20, int)
+    tol = _option(args, cfg, "tol", 1e-8, float)
     newton_cfg = NewtonConfig(k_max=max_iter, eps0=tol)
 
     downloader = "exact"
     if _option(args, cfg, "downloader", "exact") == "shadows":
-        downloader = ShadowReadout(samples=int(_option(args, cfg, "shots", 100_000)), seed=seed)
+        downloader = ShadowReadout(samples=_option(args, cfg, "shots", 100_000, int), seed=seed)
 
     if method == "newton":
         u, trace = newton_raphson(problem, newton_cfg)
         metrics = {}
     elif method == "hhl":
         hhl_cfg = HHLConfig(
-            clock_bits=int(_option(args, cfg, "clock_bits", 6)),
-            trotter_m=int(_option(args, cfg, "trotter_m", 10)),
+            clock_bits=_option(args, cfg, "clock_bits", 6, int),
+            trotter_m=_option(args, cfg, "trotter_m", 10, int),
         )
         u, trace = qpf_hhl(problem, newton_cfg, hhl_cfg, downloader)
         metrics = {"clock_bits": hhl_cfg.clock_bits, "trotter_m": hhl_cfg.trotter_m}
     elif method == "vqls":
         opt = OptimizerConfig(
-            eta=float(_option(args, cfg, "eta", 1.0)),
-            max_steps=int(_option(args, cfg, "max_steps", 400)),
-            tol=float(_option(args, cfg, "inner_tol", 2e-4)),
+            eta=_option(args, cfg, "eta", 1.0, float),
+            max_steps=_option(args, cfg, "max_steps", 400, int),
+            tol=_option(args, cfg, "inner_tol", 2e-4, float),
             seed=seed,
         )
-        layers = int(_option(args, cfg, "layers", 4))
+        layers = _option(args, cfg, "layers", 4, int)
         u, trace = qpf_vqls(problem, newton_cfg, layers, opt, downloader)
         metrics = {"layers": layers, "eta": opt.eta}
         if args.loss_curve:
@@ -138,15 +160,15 @@ def cmd_solve(args) -> int:
                 fh.write(trace.extras["inner_records"][0].loss_csv())
     elif method == "vqpf":
         opt = OptimizerConfig(
-            eta=float(_option(args, cfg, "eta", 0.01)),
-            max_steps=int(_option(args, cfg, "max_steps", 5000)),
-            tol=float(_option(args, cfg, "inner_tol", 1e-12)),
+            eta=_option(args, cfg, "eta", 0.01, float),
+            max_steps=_option(args, cfg, "max_steps", 5000, int),
+            tol=_option(args, cfg, "inner_tol", 1e-12, float),
             seed=seed,
         )
-        layers = int(_option(args, cfg, "layers", 2))
+        layers = _option(args, cfg, "layers", 2, int)
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, layers, seed=seed)
-        ansatz, u, scale, record = vqpf_solve_with_record(vp, a0, opt)
+        ansatz, u, scale, record = vqpf_solve(vp, a0, opt)
         if args.loss_curve:
             with open(args.loss_curve, "wb") as fh:
                 fh.write(record.loss_csv())
@@ -183,7 +205,7 @@ def cmd_solve(args) -> int:
 def cmd_lcu(args) -> int:
     cfg = _load_config(args)
     seed = _resolve_seed(args)
-    drop_tol = float(_option(args, cfg, "drop_tol", 1e-12))
+    drop_tol = _option(args, cfg, "drop_tol", 1e-12, float)
 
     if args.matrix:
         with open(args.matrix) as fh:
@@ -192,7 +214,7 @@ def cmd_lcu(args) -> int:
     elif args.case:
         case = _read_case(args.case)
         if args.stats:
-            count = int(_option(args, cfg, "count", 102))
+            count = _option(args, cfg, "count", 102, int)
             mats = harvest_jacobian_dilations(case, count=count, seed=seed)
         else:
             if args.iterate < 0:
@@ -214,12 +236,12 @@ def cmd_lcu(args) -> int:
         return EXIT_OK
 
     dec = pauli_decompose(mats[0], drop_tol=drop_tol)
-    if args.truncate:
+    if args.truncate is not None:
         dec = truncate(dec, args.truncate)
     payload = {
         "n": dec.n,
         "term_count": len(dec),
-        "terms": [[p.letters, c] for p, c in sorted(dec.terms, key=lambda t: (-abs(t[1]), t[0].letters))],
+        "terms": [[p.letters, c] for p, c in ordered_terms(dec.terms)],
     }
     _write_output(args, _json_bytes(payload))
     return EXIT_OK
@@ -230,18 +252,20 @@ def cmd_resources(args) -> int:
     if args.sweep:
         with open(args.sweep) as fh:
             grid = json.load(fh)
+        if not isinstance(grid, dict):
+            raise CaseError("sweep file must hold a JSON object")
         payload = sweep(
-            grid["n"],
-            grid["l"],
-            grid.get("trotter_m", [10]),
-            grid.get("clock_bits", [None]),
+            _sweep_range(grid, "n"),
+            _sweep_range(grid, "l"),
+            _sweep_range(grid, "trotter_m", [10]),
+            _sweep_range(grid, "clock_bits", [None]),
         )
         _write_output(args, payload)
         return EXIT_OK
     query = DepthQuery(
-        n=int(_option(args, cfg, "n", 2)),
-        l=int(_option(args, cfg, "l", 1)),
-        trotter_m=int(_option(args, cfg, "trotter_m", 10)),
+        n=_option(args, cfg, "n", 2, int),
+        l=_option(args, cfg, "l", 1, int),
+        trotter_m=_option(args, cfg, "trotter_m", 10, int),
         clock_bits=args.clock_bits,
     )
     _write_output(args, _json_bytes(hhl_depth(query)))
@@ -292,8 +316,6 @@ def cmd_diagnostics(args) -> int:
     case = _read_case(args.case)
     problem = build_quadratic_forms(case)
     u, trace = newton_raphson(problem)
-    from .newton import diagnostics_csv
-
     _write_output(args, diagnostics_csv(trace))
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 

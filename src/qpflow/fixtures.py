@@ -16,6 +16,7 @@ from .lcu import hermitian_dilation
 from .newton import NewtonConfig, lu_step, newton_raphson
 
 FIXTURE_NAMES = ("case3", "case5", "case14")
+_LOAD_RANGE = (0.8, 1.2)
 
 
 def case_bytes(name: str) -> bytes:
@@ -47,17 +48,17 @@ def harvest_jacobian_dilations(
     case: GridCase,
     count: int = 102,
     seed: int = 0,
-    load_range: tuple[float, float] = (0.8, 1.2),
     with_rhs: bool = False,
     eps0: float = 1e-4,
 ):
     """Padded Hermitian dilations of Jacobians from perturbed-loading runs.
 
-    Loading scenarios draw a uniform scale factor per scenario; every Newton
-    linearization point of every scenario run contributes one dilated,
-    padded Jacobian until ``count`` matrices are collected.  Runs stop at
-    scenario-screening accuracy (mismatch 1e-4 by default) rather than the
-    solver default, matching how operating-scenario ensembles are swept.
+    Loading scenarios draw a uniform scale factor in [0.8, 1.2) per
+    scenario; every Newton linearization point of every scenario run
+    contributes one dilated, padded Jacobian until ``count`` matrices are
+    collected.  Runs stop at scenario-screening accuracy (mismatch 1e-4 by
+    default) rather than the solver default, matching how operating-scenario
+    ensembles are swept.
     With ``with_rhs`` the matching dilated right-hand sides (the Newton
     step systems) are returned alongside.
     """
@@ -74,7 +75,7 @@ def harvest_jacobian_dilations(
     # every scenario runs to its end; the rng draws once per scenario, so
     # the first ``count`` matrices do not depend on where collection stops
     while len(mats) < count:
-        factor = float(rng.uniform(*load_range))
+        factor = float(rng.uniform(*_LOAD_RANGE))
         problem = build_quadratic_forms(scale_loads(case, factor))
         newton_raphson(problem, NewtonConfig(eps0=eps0), recording_lu_step)
     if with_rhs:

@@ -3,8 +3,9 @@
 The Hamiltonian is shifted so its spectrum is strictly positive, then the
 evolution time t0 places all eigenphases inside (0, 1); the shift and scale
 are inverted inside the eigenvalue-inversion rotation angles, which handles
-negative eigenvalues without a sign qubit.  Postselection is analytic in
-the default path; a seeded Bernoulli retry loop exists for sampled runs.
+negative eigenvalues without a sign qubit.  Postselection is analytic:
+the ancilla is projected onto |1> with its exact Born probability, never
+sampled.
 """
 
 from __future__ import annotations
@@ -13,19 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PowerFlowProblem
-from .lcu import LCUDecomposition, hermitian_dilation, pauli_decompose, reconstruct
+from .grid import PowerFlowProblem, SolverError
+from .lcu import hermitian_dilation, pauli_decompose
 from .newton import NewtonConfig, SolveTrace, lu_solve, newton_raphson
 from .qsim import (
     DepthCounter,
     PhaseEstimation,
     StateVector,
-    depth_report,
     eigenvalue_inversion,
     measure_ancilla_postselect,
 )
 
 _REPRESENTED_TOL = 1e-8
+# target inversion error; enters the asymptotic cost estimate of the
+# Newton loop, it is not a guarantee (clock_bits is the actual knob)
+EPS_INVERSE = 1e-2
 
 
 @dataclass
@@ -33,7 +36,6 @@ class ShadowReadout:
     """Classical-shadow download settings for the quantum Newton loops."""
 
     samples: int = 100_000
-    batches: int = 10
     seed: int = 0
 
 
@@ -44,19 +46,12 @@ class HHLConfig:
     c_const: float | None = None  # None selects 0.9 * smallest represented |eigenvalue|
     t0: float | None = None  # None selects the spectral-window rule
     shift: float | None = None  # None selects the window rule; explicit values pair with t0
-    # target inversion error; enters the asymptotic cost estimate of the
-    # Newton loop, it is not a guarantee (clock_bits is the actual knob)
-    eps_inverse: float = 1e-2
-    max_postselect_retries: int = 64
-    compute_fidelity: bool = True
 
     def __post_init__(self):
         if self.clock_bits < 1:
             raise ValueError("clock_bits must be >= 1")
         if self.trotter_m < 1:
             raise ValueError("trotter_m must be >= 1")
-        if self.eps_inverse <= 0:
-            raise ValueError("eps_inverse must be positive")
 
 
 @dataclass
@@ -65,21 +60,10 @@ class HHLResult:
     success_prob: float
     scale: float
     depth: DepthCounter
-    fidelity_vs_exact: float | None = None
+    fidelity_vs_exact: float
     clock_zero_prob: float = 1.0
     eigenvalue_window: tuple[float, float] = (0.0, 0.0)
     c_const: float = 0.0
-
-    def report(self) -> dict:
-        out = {
-            "x": self.x_state.tolist(),
-            "scale": self.scale,
-            "success_prob": self.success_prob,
-            "depth": depth_report(self.depth),
-        }
-        if self.fidelity_vs_exact is not None:
-            out["fidelity"] = self.fidelity_vs_exact
-        return out
 
 
 def _gershgorin_window(a: np.ndarray) -> tuple[float, float]:
@@ -101,10 +85,10 @@ def recover_normalization(x_unit: np.ndarray, a, b: np.ndarray) -> float:
     for j in candidates:
         if abs(ax[j]) > 1e-12:
             return float(b[j] / ax[j])
-    raise ValueError("every candidate denominator |(A x)_j| is below 1e-12")
+    raise SolverError("every candidate denominator |(A x)_j| is below 1e-12")
 
 
-def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Generator | None = None) -> HHLResult:
+def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
     """Solve A x = b through the phase-estimation pipeline.
 
     A must be Hermitian (dilate first otherwise); a non-power-of-two
@@ -113,13 +97,10 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
     postselect the ancilla on |1>, read out the live amplitudes.
     """
     cfg = cfg or HHLConfig()
-    if isinstance(a, LCUDecomposition):
-        dense = reconstruct(a).real
-    else:
-        dense = np.asarray(a, dtype=complex)
-        if np.max(np.abs(dense - dense.conj().T)) > 1e-10:
-            raise ValueError("matrix is not Hermitian; apply hermitian_dilation first")
-        dense = dense.real
+    dense = np.asarray(a, dtype=complex)
+    if np.max(np.abs(dense - dense.conj().T)) > 1e-10:
+        raise ValueError("matrix is not Hermitian; apply hermitian_dilation first")
+    dense = dense.real
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != dense.shape[0]:
         raise ValueError("dimension mismatch between A and b")
@@ -183,7 +164,7 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
         usable = (clock_mass > _REPRESENTED_TOL) & (lam_grid != 0.0)
         usable[0] = False
     if not usable.any():
-        raise ValueError("no invertible eigenvalue is represented on the clock register")
+        raise SolverError("no invertible eigenvalue is represented on the clock register")
     eigs = lam_grid[usable]
     window = (float(np.min(np.abs(eigs))), float(np.max(np.abs(eigs))))
     c_const = cfg.c_const if cfg.c_const is not None else 0.9 * window[0]
@@ -193,15 +174,6 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
     )
     # the ancilla occupies the least significant qubit and rides along
     state = phase_estimation.adjoint(state, counter)
-
-    if rng is not None:
-        # sampled path: Bernoulli postselection with bounded retries
-        anc_prob = _ancilla_one_prob(state)
-        for attempt in range(cfg.max_postselect_retries):
-            if rng.random() < anc_prob:
-                break
-        else:
-            raise ValueError(f"postselection failed {cfg.max_postselect_retries} times (p={anc_prob:.3g})")
     state, success_prob = measure_ancilla_postselect(state, ancilla=state.n - 1, want=1)
 
     # keep the clock-zero block; residual mass there measures phase leakage
@@ -209,17 +181,15 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
     live = blocks[0]
     clock_zero = float(np.sum(np.abs(live) ** 2))
     if clock_zero < 1e-14:
-        raise ValueError("no amplitude left on the zero clock value after uncomputation")
+        raise SolverError("no amplitude left on the zero clock value after uncomputation")
     live = live / np.sqrt(clock_zero)
     anchor = np.argmax(np.abs(live))
     live = live * np.exp(-1j * np.angle(live[anchor]))
     x_state = live.real / np.linalg.norm(live.real)
 
-    fidelity = None
-    if cfg.compute_fidelity:
-        exact = np.linalg.solve(dense, b)
-        exact /= np.linalg.norm(exact)
-        fidelity = float(abs(np.dot(exact, x_state)))
+    exact = np.linalg.solve(dense, b)
+    exact /= np.linalg.norm(exact)
+    fidelity = float(abs(np.dot(exact, x_state)))
 
     scale = recover_normalization(x_state, dense, b)
     return HHLResult(
@@ -232,11 +202,6 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None, rng: np.random.Gen
         eigenvalue_window=window,
         c_const=float(c_const),
     )
-
-
-def _ancilla_one_prob(state: StateVector) -> float:
-    shaped = state.amps.reshape(-1, 2)
-    return float(np.sum(shaped[:, 1].real ** 2 + shaped[:, 1].imag ** 2))
 
 
 def download_state(x_state: np.ndarray, downloader, iteration: int) -> np.ndarray:
@@ -291,7 +256,7 @@ def qpf_hhl(
 
     The trace extras carry, besides per-iteration diagnostics, the
     asymptotic-cost estimate K * log2(N_bus) * s**2 * kappa**2 /
-    eps_inverse**2 evaluated with the measured iteration count, maximal
+    EPS_INVERSE**2 evaluated with the measured iteration count, maximal
     sparsity, and maximal condition number.
     """
     cfg_hhl = cfg_hhl or HHLConfig()
@@ -312,6 +277,6 @@ def qpf_hhl(
             * float(np.log2(problem.n_bus))
             * max(trace.sparsities) ** 2
             * max(trace.kappas) ** 2
-            / cfg_hhl.eps_inverse**2
+            / EPS_INVERSE**2
         )
     return u, trace

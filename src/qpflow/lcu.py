@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .qsim import PauliString
+from .qsim import PauliString, ordered_terms
 
 _HERMITIAN_TOL = 1e-10
 DEFAULT_DROP_TOL = 1e-12
+_HIST_BINS = 40
 
 _LETTERS = "IXYZ"
 
@@ -38,10 +39,6 @@ class LCUDecomposition:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def coefficient_norm(self) -> float:
-        """sum_i |a_i|, an upper bound on the spectral norm."""
-        return float(sum(abs(a) for _, a in self.terms))
 
     def shifted(self, delta: float) -> "LCUDecomposition":
         """Decomposition of A + delta*I."""
@@ -95,8 +92,7 @@ def truncate(d: LCUDecomposition, k: int) -> LCUDecomposition:
     """Keep the k largest-|a_i| terms; ties broken by lexicographic word."""
     if k <= 0:
         raise ValueError("k must be >= 1")
-    ranked = sorted(d.terms, key=lambda term: (-abs(term[1]), term[0].letters))
-    return LCUDecomposition(d.n, ranked[:k])
+    return LCUDecomposition(d.n, ordered_terms(d.terms)[:k])
 
 
 def hermitian_dilation(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +120,7 @@ def hermitian_dilation(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return out, rhs
 
 
-def lcu_statistics(mats: list[np.ndarray], drop_tol: float = DEFAULT_DROP_TOL, hist_bins: int = 40) -> dict:
+def lcu_statistics(mats: list[np.ndarray], drop_tol: float = DEFAULT_DROP_TOL) -> dict:
     """Nonzero-term statistics across an ensemble of Hermitian matrices.
 
     Returns per-matrix nonzero counts, their mean and sample standard
@@ -144,7 +140,7 @@ def lcu_statistics(mats: list[np.ndarray], drop_tol: float = DEFAULT_DROP_TOL, h
     counts_arr = np.array(counts, dtype=float)
     mean = float(counts_arr.mean())
     std = float(counts_arr.std(ddof=1)) if len(counts) > 1 else 0.0
-    density, edges = np.histogram(np.array(magnitudes), bins=hist_bins, density=True)
+    density, edges = np.histogram(np.array(magnitudes), bins=_HIST_BINS, density=True)
     return {
         "counts": counts,
         "mean": mean,

@@ -42,15 +42,28 @@ class NewtonConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration diagnostics; residuals are post-step infinity norms."""
+    """Per-iteration diagnostics; residuals are post-step infinity norms.
+
+    ``jacobians`` holds each iteration's sparse J as built, before its step.
+    Its condition numbers and sparsities are computed when read, so loops
+    that never report them (the scenario harvester, ``qpflow lcu
+    --iterate``) never pay for a dense SVD.
+    """
 
     residuals: list[float] = field(default_factory=list)
-    kappas: list[float] = field(default_factory=list)
-    sparsities: list[int] = field(default_factory=list)
+    jacobians: list[sp.spmatrix] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
     extras: dict = field(default_factory=dict)
+
+    @property
+    def kappas(self) -> list[float]:
+        return [condition_number(j) for j in self.jacobians]
+
+    @property
+    def sparsities(self) -> list[int]:
+        return [sparsity(j) for j in self.jacobians]
 
 
 def lu_solve(a, b: np.ndarray) -> np.ndarray:
@@ -122,8 +135,6 @@ def newton_raphson(
         if norm < cfg.eps0:
             break
         j = jacobian(problem, u)
-        kappa = condition_number(j)
-        s = sparsity(j)
         du, extras = inner(j, f, iteration)
         u = u + du
         if not np.all(np.isfinite(u)):
@@ -131,8 +142,7 @@ def newton_raphson(
         f = residual(problem, u)
         norm = float(np.max(np.abs(f)))
         trace.residuals.append(norm)
-        trace.kappas.append(kappa)
-        trace.sparsities.append(s)
+        trace.jacobians.append(j)
         trace.step_norms.append(float(np.max(np.abs(du))))
         for key, value in extras.items():
             trace.extras.setdefault(key, []).append(value)
@@ -147,9 +157,7 @@ def diagnostics_csv(trace: SolveTrace) -> bytes:
         raise ValueError("trace is empty")
     buf = io.StringIO()
     buf.write("iter,residual,kappa,sparsity,step_norm\n")
-    for i in range(trace.iterations):
-        buf.write(
-            f"{i + 1},{trace.residuals[i]!r},{trace.kappas[i]!r},"
-            f"{trace.sparsities[i]},{trace.step_norms[i]!r}\n"
-        )
+    rows = zip(trace.residuals, trace.kappas, trace.sparsities, trace.step_norms)
+    for i, (resid, kappa, s, step) in enumerate(rows, start=1):
+        buf.write(f"{i},{resid!r},{kappa!r},{s},{step!r}\n")
     return buf.getvalue().encode()

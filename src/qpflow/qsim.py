@@ -160,9 +160,6 @@ class DepthCounter:
         self.two_qubit += other.two_qubit
         self.ctrl_rotation += other.ctrl_rotation
 
-    def snapshot(self) -> "DepthCounter":
-        return DepthCounter(self.single_qubit, self.two_qubit, self.ctrl_rotation)
-
 
 def depth_report(counter: DepthCounter) -> dict:
     """Totals per gate class plus the sequential depth."""
@@ -284,30 +281,6 @@ class PhaseEstimation:
         return StateVector(state.n, psi.reshape(-1))
 
 
-def qpe(
-    state: StateVector,
-    ham,
-    clock_bits: int,
-    t0: float,
-    counter: DepthCounter | None = None,
-    trotter_m: int = 10,
-) -> StateVector:
-    """Quantum phase estimation of exp(i*H*t0); see PhaseEstimation.forward."""
-    return PhaseEstimation(ham, clock_bits, t0, trotter_m).forward(state, counter)
-
-
-def inverse_qpe(
-    state: StateVector,
-    ham,
-    clock_bits: int,
-    t0: float,
-    counter: DepthCounter | None = None,
-    trotter_m: int = 10,
-) -> StateVector:
-    """Exact adjoint of qpe with identical parameters; see PhaseEstimation.adjoint."""
-    return PhaseEstimation(ham, clock_bits, t0, trotter_m).adjoint(state, counter)
-
-
 def eigenvalue_inversion(
     state: StateVector,
     clock_bits: int,
@@ -382,24 +355,3 @@ def measure_ancilla_postselect(state: StateVector, ancilla: int, want: int) -> t
     if prob < 1e-14:
         raise ValueError(f"postselection on outcome {want} has probability {prob:.3g}")
     return StateVector(state.n - 1, block.reshape(-1) / np.sqrt(prob)), prob
-
-
-def apply_single_qubit_gate(state: StateVector, q: int, u2: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to qubit q."""
-    if not 0 <= q < state.n:
-        raise ValueError(f"qubit {q} out of range")
-    shaped = state.amps.reshape(1 << q, 2, -1)
-    new = np.einsum("ab,ibj->iaj", u2, shaped)
-    return StateVector(state.n, new.reshape(-1))
-
-
-def apply_cz(state: StateVector, q1: int, q2: int) -> StateVector:
-    """Controlled-Z between two qubits."""
-    if q1 == q2:
-        raise ValueError("CZ needs two distinct qubits")
-    idx = np.arange(state.amps.size)
-    b1 = (idx >> (state.n - 1 - q1)) & 1
-    b2 = (idx >> (state.n - 1 - q2)) & 1
-    amps = state.amps.copy()
-    amps[(b1 & b2) == 1] *= -1.0
-    return StateVector(state.n, amps)

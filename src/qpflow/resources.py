@@ -53,8 +53,6 @@ class QramBudget:
     g_d: float = 2 * np.pi * 1e3  # direct coupling, Hz * 2*pi
     nu: float = 2 * np.pi * 1e7  # free spectral range, Hz * 2*pi
     c_d: float = 4.5  # average gate-duration constant
-    target_infidelity: float | None = None
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.data_size < 2:

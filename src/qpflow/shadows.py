@@ -101,7 +101,7 @@ def _ketbra_mean(bases, outcomes, n, i, j) -> complex:
     return complex(np.mean(_kernels.ketbra_estimates(bases, outcomes, n, i, j)))
 
 
-def reconstruct_real_state(snapshots: ShadowSnapshots, support_hint: list[int] | None = None) -> np.ndarray:
+def reconstruct_real_state(snapshots: ShadowSnapshots) -> np.ndarray:
     """Reconstruct a state with real amplitudes from random-Pauli snapshots.
 
     Diagonal weights come from projector estimates; indices whose estimate
@@ -116,10 +116,9 @@ def reconstruct_real_state(snapshots: ShadowSnapshots, support_hint: list[int] |
     bases, outcomes, n = snapshots.bases, snapshots.outcomes, snapshots.n
     dim = 1 << n
     count = len(snapshots)
-    candidates = list(support_hint) if support_hint is not None else list(range(dim))
 
     weights = np.zeros(dim)
-    for idx in candidates:
+    for idx in range(dim):
         est = _kernels.ketbra_estimates(bases, outcomes, n, idx, idx).real
         mean = float(est.mean())
         sigma = float(est.std(ddof=1)) / np.sqrt(count) if count > 1 else 0.0

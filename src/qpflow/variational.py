@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import PowerFlowProblem, RowKind
+from .grid import PowerFlowProblem, RowKind, SolverError
 from .hhl import quantum_step, recover_normalization
 from .lcu import LCUDecomposition, reconstruct
 from .newton import SolveTrace, newton_raphson
@@ -31,6 +31,8 @@ class Ansatz:
     theta: np.ndarray
 
     def __post_init__(self):
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
         self.theta = np.asarray(self.theta, dtype=float).reshape(-1)
         want = self.n * (self.layers + 1)
         if self.theta.size != want:
@@ -64,8 +66,6 @@ class OptimizerConfig:
     eta: float = 0.1
     max_steps: int = 500
     tol: float = 1e-6
-    gradient_mode: str = "parameter_shift"  # or "finite_diff"
-    fd_step: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
@@ -73,8 +73,6 @@ class OptimizerConfig:
             raise ValueError("learning rate must be positive")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.gradient_mode not in ("parameter_shift", "finite_diff"):
-            raise ValueError(f"unknown gradient mode {self.gradient_mode!r}")
 
 
 def _ry_layer(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
@@ -177,7 +175,7 @@ class GlobalVqlsLoss(ExpectationLoss):
 
     def value_from(self, e):
         if e[1] < 1e-12:
-            raise ValueError("ansatz state is annihilated by A")
+            raise SolverError("ansatz state is annihilated by A")
         return 1.0 - e[0] / e[1]
 
     def partials_from(self, e):
@@ -187,9 +185,9 @@ class GlobalVqlsLoss(ExpectationLoss):
 class LocalVqlsLoss(ExpectationLoss):
     """1 - <psi|B P B^T|psi> with P = 1/2 + sum_j Z_j / (2n)."""
 
-    def __init__(self, a_mat, b_prep):
+    def __init__(self, a_mat, b: np.ndarray):
         a_dense = _dense_real(a_mat)
-        b_mat = b_prep if (isinstance(b_prep, np.ndarray) and b_prep.ndim == 2) else _householder_prep(b_prep)
+        b_mat = _householder_prep(b)
         dim = a_dense.shape[0]
         n = int(dim).bit_length() - 1
         diag = np.full(dim, 0.5)
@@ -209,23 +207,12 @@ def vqls_loss_global(a: Ansatz, a_mat, b_state) -> float:
     return GlobalVqlsLoss(a_mat, b).value(a)
 
 
-def vqls_loss_local(a: Ansatz, a_mat, b_prep) -> float:
-    return LocalVqlsLoss(a_mat, b_prep).value(a)
+def vqls_loss_local(a: Ansatz, a_mat, b) -> float:
+    return LocalVqlsLoss(a_mat, b).value(a)
 
 
-def gradient(loss: ExpectationLoss, a: Ansatz, mode: str = "parameter_shift", fd_step: float = 1e-5) -> np.ndarray:
-    """Exact parameter-shift gradient or central finite differences."""
-    if mode == "finite_diff":
-        grad = np.empty(a.theta.size)
-        for k in range(a.theta.size):
-            theta_p = a.theta.copy()
-            theta_m = a.theta.copy()
-            theta_p[k] += fd_step
-            theta_m[k] -= fd_step
-            grad[k] = (loss.value(a.with_theta(theta_p)) - loss.value(a.with_theta(theta_m))) / (2 * fd_step)
-        return grad
-    if mode != "parameter_shift":
-        raise ValueError(f"unknown gradient mode {mode!r}")
+def gradient(loss: ExpectationLoss, a: Ansatz) -> np.ndarray:
+    """Exact parameter-shift gradient."""
     base = loss.expectations(a)
     partials = loss.partials_from(base)
     grad = np.empty(a.theta.size)
@@ -264,7 +251,7 @@ def _descend(loss: ExpectationLoss, a0: Ansatz, opt: OptimizerConfig) -> tuple[A
             raise FloatingPointError("loss became non-finite")
         if value < opt.tol:
             break
-        g = gradient(loss, a, opt.gradient_mode, opt.fd_step)
+        g = gradient(loss, a)
         rec.loss_curve.append(float(value))
         rec.grad_norms.append(float(np.linalg.norm(g)))
         a = a.with_theta(a.theta - opt.eta * g)
@@ -272,7 +259,7 @@ def _descend(loss: ExpectationLoss, a0: Ansatz, opt: OptimizerConfig) -> tuple[A
     rec.loss_curve.append(float(value))
     rec.grad_norms.append(rec.grad_norms[-1] if rec.grad_norms else 0.0)
     rec.steps = len(rec.loss_curve) - 1
-    rec.converged = value < opt.tol
+    rec.converged = bool(value < opt.tol)
     return a, rec
 
 
@@ -296,7 +283,7 @@ def vqls_solve(
     rec.x_state = x_state
     try:
         rec.scale = recover_normalization(x_state, a_dense, b)
-    except ValueError:
+    except SolverError:
         rec.scale = None
     return ansatz, rec
 
@@ -394,24 +381,15 @@ def vqpf_solve(
     p: VQPFProblem,
     a0: Ansatz,
     opt: OptimizerConfig | None = None,
-) -> tuple[Ansatz, np.ndarray, float]:
+) -> tuple[Ansatz, np.ndarray, float, VariationalRecord]:
     """Gradient descent on the ratio loss, then recover the physical scale.
 
     The normalization c (with <O_a> * c ~ f_a) comes from a least-squares
     fit over all rows; the returned voltage vector is the live block of
     sqrt(c) * psi with the slack real part fixed positive.  A run that hits
-    max_steps returns its best iterate.
+    max_steps returns its best iterate.  The last item is the loss-curve
+    record of the descent.
     """
-    ansatz, u, c, _ = vqpf_solve_with_record(p, a0, opt)
-    return ansatz, u, c
-
-
-def vqpf_solve_with_record(
-    p: VQPFProblem,
-    a0: Ansatz,
-    opt: OptimizerConfig | None = None,
-) -> tuple[Ansatz, np.ndarray, float, VariationalRecord]:
-    """vqpf_solve plus the loss-curve record of the descent."""
     opt = opt or OptimizerConfig()
     loss = VqpfLoss(p)
     ansatz, rec = _descend(loss, a0, opt)
@@ -466,7 +444,11 @@ def qpf_vqls(
         state["theta"] = ansatz.theta.copy()
         inner_curves.append(rec.loss_curve)
         inner_records.append(rec)
-        return rec.x_state, {"inner_loss": rec.loss_curve[-1], "inner_steps": rec.steps}
+        return rec.x_state, {
+            "inner_loss": rec.loss_curve[-1],
+            "inner_steps": rec.steps,
+            "inner_converged": rec.converged,
+        }
 
     u, trace = newton_raphson(problem, cfg_newton, quantum_step(inner, downloader))
     trace.extras["inner_loss_curves"] = inner_curves

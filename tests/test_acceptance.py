@@ -228,7 +228,7 @@ def test_criterion_08_vqpf():
     assert loss.value_from(e) < 1e-24
     # the 2-bus toy solves to 1e-3 against the classical solution
     a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-    _, u_v, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+    _, u_v, _, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
     assert np.max(np.abs(u_v - u_star)) < 1e-3
     elapsed = time.time() - start
     assert elapsed < 60.0, f"runtime {elapsed:.2f}s exceeds 1min"

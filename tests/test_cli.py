@@ -27,6 +27,22 @@ BAD_CASE_FIELDS = {
     "buses-object": lambda c: c.update(buses={"a": 1}),
 }
 
+# CLI inputs that once ended in an uncaught exception or a silent success;
+# each names the file to write (or None) and the command that reads it as {}
+BAD_INPUTS = {
+    "config-max-iter-null": ("cfg.json", {"max_iter": None}, ["solve", CASE3, "--config", "{}"]),
+    "config-max-iter-list": ("cfg.json", {"max_iter": [1]}, ["solve", CASE3, "--config", "{}"]),
+    "sweep-n-scalar": ("sweep.json", {"n": 5, "l": [1]}, ["resources", "--sweep", "{}"]),
+    "sweep-n-string": ("sweep.json", {"n": ["a"], "l": [1]}, ["resources", "--sweep", "{}"]),
+    "sweep-not-object": ("sweep.json", [1], ["resources", "--sweep", "{}"]),
+    "vqls-negative-layers": (
+        None,
+        None,
+        ["solve", CASE3, "--method", "vqls", "--layers", "-1", "--max-iter", "1", "--max-steps", "2"],
+    ),
+    "lcu-truncate-zero": ("m.json", np.eye(2).tolist(), ["lcu", "--matrix", "{}", "--truncate", "0"]),
+}
+
 
 class TestSolve:
     def test_newton_case3(self, tmp_path):
@@ -106,6 +122,20 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_cli_input_is_input_error(self, bad, tmp_path, capsys):
+        name, content, args = bad
+        if name is not None:
+            path = tmp_path / name
+            path.write_text(json.dumps(content))
+            args = [arg.format(path) for arg in args]
+        out = tmp_path / "x.out"
+        assert run_cli(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,4 +1,6 @@
+import json
 from functools import partial
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from qpflow.newton import (
     lu_step,
     newton_raphson,
 )
+
+CASE14 = str(resources.files("qpflow.cases").joinpath("case14.json"))
 
 
 def gaussian_elimination_oracle(a, b):
@@ -184,3 +188,48 @@ class TestDiagnosticsCsv:
         # strict nonzero count equals the topology-fixed pattern size
         _, trace = newton_raphson(problem14)
         assert len(set(trace.sparsities[1:])) == 1
+
+
+class TestKappaOnlyWhereRead:
+    """The dense SVD behind kappa runs only for callers that report it."""
+
+    @pytest.fixture
+    def kappa_calls(self, monkeypatch):
+        import qpflow.newton
+
+        calls = []
+        original = qpflow.newton.condition_number
+
+        def counting(j):
+            calls.append(j.shape)
+            return original(j)
+
+        monkeypatch.setattr(qpflow.newton, "condition_number", counting)
+        return calls
+
+    def test_harvester_computes_none(self, case14, kappa_calls):
+        from qpflow.fixtures import harvest_jacobian_dilations
+
+        assert len(harvest_jacobian_dilations(case14, count=12)) == 12
+        assert kappa_calls == []
+
+    def test_lcu_iterate_computes_none(self, tmp_path, kappa_calls):
+        from qpflow.cli import main
+
+        assert main(["lcu", CASE14, "--iterate", "3", "--out", str(tmp_path / "t.json")]) == 0
+        assert kappa_calls == []
+
+    @pytest.mark.parametrize("command", ["solve", "diagnostics"])
+    def test_reported_kappas_computed(self, command, tmp_path, kappa_calls):
+        from qpflow.cli import main
+        from qpflow.fixtures import load_fixture
+
+        out = tmp_path / "out"
+        assert main([command, CASE14, "--out", str(out)]) == 0
+        if command == "solve":
+            kappas = json.loads(out.read_text())["trace"]["kappas"]
+        else:
+            kappas = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+        want = load_fixture("case14")[1]["trace"]["kappas"]
+        assert len(kappa_calls) == len(want)
+        assert kappas == pytest.approx(want, rel=1e-9)

@@ -8,15 +8,14 @@ from qpflow.lcu import LCUDecomposition, pauli_decompose
 from qpflow.qsim import (
     DepthCounter,
     PauliString,
+    PhaseEstimation,
     StateVector,
     _matrix_power,
     _trotter_unitary,
     apply_pauli_exponential,
     depth_report,
     eigenvalue_inversion,
-    inverse_qpe,
     measure_ancilla_postselect,
-    qpe,
 )
 
 
@@ -111,53 +110,55 @@ class TestQpe:
     def test_z_dyadic_phase(self):
         # eigenvalue +1 of Z at t0 = pi/2: phase 1/4, clock pattern |01>
         ham = pauli_decompose(np.diag([1.0, -1.0]))
-        out = qpe(StateVector.zero(1), ham, clock_bits=2, t0=np.pi / 2)
+        out = PhaseEstimation(ham, clock_bits=2, t0=np.pi / 2).forward(StateVector.zero(1))
         mass = out.probabilities().reshape(4, 2).sum(axis=1)
         assert mass[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_hamiltonian(self):
         ham = LCUDecomposition(1, [(PauliString(1, "I"), 0.0)])
-        out = qpe(StateVector.zero(1), ham, clock_bits=3, t0=1.0)
+        out = PhaseEstimation(ham, clock_bits=3, t0=1.0).forward(StateVector.zero(1))
         mass = out.probabilities().reshape(8, 2).sum(axis=1)
         assert mass[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_clock_bits_validation(self):
         ham = pauli_decompose(np.eye(2))
         with pytest.raises(ValueError):
-            qpe(StateVector.zero(1), ham, clock_bits=0, t0=1.0)
+            PhaseEstimation(ham, clock_bits=0, t0=1.0)
 
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(3)
         ham = pauli_decompose(np.array([[0.5, 0.2], [0.2, -0.1]]))
         state = random_state(rng, 1)
-        fwd = qpe(state, ham, 3, 0.7)
-        back = inverse_qpe(fwd, ham, 3, 0.7)
+        qpe = PhaseEstimation(ham, 3, 0.7)
+        back = qpe.adjoint(qpe.forward(state))
         blocks = back.amps.reshape(8, 2)
         assert np.max(np.abs(blocks[0] - state.amps)) < 1e-10
         assert np.sum(np.abs(blocks[1:]) ** 2) < 1e-20
 
     def test_adjoint_on_random_states(self):
-        # inverse_qpe(qpe(s)) == s tensor |0..0> holds exactly, because the
+        # adjoint(forward(s)) == s tensor |0..0> holds exactly, because the
         # controlled blocks cancel as matrices regardless of the phases
         rng = np.random.default_rng(12)
         ham = pauli_decompose(np.array([[1.0, 0.3], [0.3, 0.2]]))
+        qpe = PhaseEstimation(ham, 2, 0.5)
         for _ in range(5):
             sys_state = random_state(rng, 1)
-            out = inverse_qpe(qpe(sys_state, ham, 2, 0.5), ham, 2, 0.5)
+            out = qpe.adjoint(qpe.forward(sys_state))
             want = np.zeros(8, complex)
             want[:2] = sys_state.amps
             assert np.max(np.abs(out.amps - want)) < 1e-10
 
     def test_adjoint_with_trailing_ancilla(self):
-        # inverse_qpe takes the registers after the system from ham.n; an
+        # the adjoint takes the registers after the system from ham.n; an
         # ancilla entangled with the QPE output rides along untouched
         rng = np.random.default_rng(21)
         h = rng.normal(size=(4, 4))
         ham = pauli_decompose(h + h.T)
         s0, s1 = random_state(rng, 2), random_state(rng, 2)
-        fwd0, fwd1 = qpe(s0, ham, 2, 0.5), qpe(s1, ham, 2, 0.5)
+        qpe = PhaseEstimation(ham, 2, 0.5)
+        fwd0, fwd1 = qpe.forward(s0), qpe.forward(s1)
         joint = np.stack([fwd0.amps, fwd1.amps], axis=1).reshape(-1) / np.sqrt(2)
-        out = inverse_qpe(StateVector(fwd0.n + 1, joint), ham, 2, 0.5)
+        out = qpe.adjoint(StateVector(fwd0.n + 1, joint))
         want = np.zeros((4, 4, 2), complex)
         want[0, :, 0] = s0.amps / np.sqrt(2)
         want[0, :, 1] = s1.amps / np.sqrt(2)
@@ -167,9 +168,8 @@ class TestQpe:
     def test_depth_equal_forward_backward(self):
         ham = pauli_decompose(np.array([[1.0, 0.3], [0.3, 0.2]]))
         c1, c2 = DepthCounter(), DepthCounter()
-        state = StateVector.zero(1)
-        mid = qpe(state, ham, 2, 0.5, c1)
-        inverse_qpe(mid, ham, 2, 0.5, c2)
+        qpe = PhaseEstimation(ham, 2, 0.5)
+        qpe.adjoint(qpe.forward(StateVector.zero(1), c1), c2)
         assert c1.depth == c2.depth
 
     def test_deterministic_basis_state_for_commuting_ham(self):
@@ -179,7 +179,7 @@ class TestQpe:
         for idx, lam in ((0, 3), (1, 1), (2, 2)):
             amps = np.zeros(4, complex)
             amps[idx] = 1.0
-            out = qpe(StateVector(2, amps), ham, 3, t0)
+            out = PhaseEstimation(ham, 3, t0).forward(StateVector(2, amps))
             mass = out.probabilities().reshape(8, 4).sum(axis=1)
             assert mass[lam] == pytest.approx(1.0, abs=1e-12)
 
@@ -235,7 +235,7 @@ def test_default_trotter_steps_are_ten():
 
     assert HHLConfig().trotter_m == 10
     assert DepthQuery(n=1, l=1).trotter_m == 10
-    assert inspect.signature(qpe).parameters["trotter_m"].default == 10
+    assert inspect.signature(PhaseEstimation).parameters["trotter_m"].default == 10
 
 
 class TestPostselect:
@@ -289,7 +289,7 @@ class TestDepthCounter:
     def test_qpe_plus_iqpe_about_twice_qpe(self):
         ham = pauli_decompose(np.array([[1.0, 0.3], [0.3, 0.2]]))
         c_f, c_b = DepthCounter(), DepthCounter()
-        mid = qpe(StateVector.zero(1), ham, 2, 0.5, c_f)
-        inverse_qpe(mid, ham, 2, 0.5, c_b)
+        qpe = PhaseEstimation(ham, 2, 0.5)
+        qpe.adjoint(qpe.forward(StateVector.zero(1), c_f), c_b)
         ratio = (c_f.depth + c_b.depth) / c_f.depth
         assert 1.8 <= ratio <= 2.6

@@ -127,12 +127,6 @@ class TestReconstruct:
             fids[count] = np.mean(vals)
         assert fids[20_000] >= fids[2_000] - 0.01
 
-    def test_support_hint(self):
-        bell = StateVector.from_vector([1.0, 0.0, 0.0, 1.0])
-        snaps = collect_shadows(bell, 50_000, seed=8)
-        rec = reconstruct_real_state(snaps, support_hint=[0, 3])
-        assert abs(rec[1]) == 0.0 and abs(rec[2]) == 0.0
-
     def test_hhl_download_direction(self):
         from qpflow.hhl import HHLConfig, hhl_solve
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qpflow.grid import build_quadratic_forms, parse_case
+from qpflow.grid import SolverError, build_quadratic_forms, parse_case
 from qpflow.lcu import pauli_decompose
 from qpflow.newton import NewtonConfig, newton_raphson
 from qpflow.qsim import StateVector
@@ -40,6 +40,18 @@ TWO_BUS = json.dumps(
 def random_system(rng, n):
     a = rng.normal(size=(1 << n, 1 << n))
     return a + a.T
+
+
+def central_difference_gradient(loss, a, step=1e-5):
+    """Finite-difference reference for the parameter-shift gradient."""
+    grad = np.empty(a.theta.size)
+    for k in range(a.theta.size):
+        theta_p = a.theta.copy()
+        theta_m = a.theta.copy()
+        theta_p[k] += step
+        theta_m[k] -= step
+        grad[k] = (loss.value(a.with_theta(theta_p)) - loss.value(a.with_theta(theta_m))) / (2 * step)
+    return grad
 
 
 class TestAnsatz:
@@ -122,7 +134,7 @@ class TestLosses:
     def test_annihilated_state_rejected(self):
         ans = Ansatz(1, 0, np.zeros(1))
         a_mat = np.array([[0.0, 0.0], [0.0, 1.0]])  # kills |0>
-        with pytest.raises(ValueError, match="annihilated"):
+        with pytest.raises(SolverError, match="annihilated"):
             vqls_loss_global(ans, a_mat, np.array([1.0, 0.0]))
 
 
@@ -142,8 +154,8 @@ class TestGradient:
             b = rng.normal(size=4)
             ans = Ansatz.random(2, 2, seed=trial, scale=0.8)
             loss = LocalVqlsLoss(a_mat, b)
-            g_ps = gradient(loss, ans, "parameter_shift")
-            g_fd = gradient(loss, ans, "finite_diff")
+            g_ps = gradient(loss, ans)
+            g_fd = central_difference_gradient(loss, ans)
             denom = max(1.0, np.max(np.abs(g_ps)))
             assert np.max(np.abs(g_ps - g_fd)) / denom < 1e-4
 
@@ -233,6 +245,16 @@ class TestQpfVqls:
         assert np.max(np.abs(u_v - u_star)) < 1e-2
         assert trace.extras["inner_loss_curves"]
 
+    def test_capped_inner_solve_reported(self, problem3):
+        _, trace = qpf_vqls(
+            problem3,
+            NewtonConfig(k_max=1),
+            layers=4,
+            opt=OptimizerConfig(eta=1.0, max_steps=2, tol=2e-4, seed=0),
+        )
+        assert trace.extras["inner_converged"] == [False]
+        assert trace.extras["inner_steps"] == [2]
+
     def test_warm_start_reduces_inner_steps(self, problem3):
         kwargs = dict(
             cfg_newton=NewtonConfig(k_max=8, eps0=1e-5),
@@ -293,7 +315,7 @@ class TestVqpf:
         problem, u_star = two_bus
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-        _, u_v, c = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+        _, u_v, c, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
         assert np.max(np.abs(u_v - u_star)) < 1e-3
         assert c == pytest.approx(float(u_star @ u_star), rel=1e-3)
 
@@ -301,7 +323,7 @@ class TestVqpf:
         problem, u_star = two_bus
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-        ans, u_v, c = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+        ans, u_v, c, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
         psi = ansatz_amplitudes(ans)
         for obs, f in zip(vp.observables, vp.rhs):
             got = float(psi @ (obs @ psi)) * c
@@ -311,7 +333,7 @@ class TestVqpf:
         problem, u_star = two_bus
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-        ans, _, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+        ans, _, _, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
         loss = VqpfLoss(vp)
         restart = OptimizerConfig(eta=0.01, max_steps=100, tol=1e-10)
         _, rec2 = __import__("qpflow.variational", fromlist=["_descend"])._descend(loss, ans, restart)
