@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Regenerate the golden fixtures with the dense-LU Newton oracle.
+"""Regenerate the golden fixtures with the default dense-LU Newton solve.
 
 Run from the repository root:
 
     python3 scripts/make_goldens.py
 
-Goldens are deterministic (no randomness is involved), but bit-identity
-holds only for the same numpy/OpenBLAS build running the same CPU kernel:
-the LU round-off in the last bits of the solution depends on both.  On
-case14, forcing another OpenBLAS kernel (``OPENBLAS_CORETYPE`` set to
-Haswell, SandyBridge or Prescott) changes 16-21 of the 28 solution
-coordinates at ulp level.  Regenerate on the default kernel of the machine
-whose test suite is to hold them.
+The oracle is the Newton step that ``qpflow solve --method newton`` runs,
+so the goldens are the CLI's own output.  They are deterministic (no
+randomness is involved), but bit-identity holds only for the same
+numpy/OpenBLAS build running the same CPU kernel: the LAPACK LU round-off
+in the last bits of the solution depends on both.  On case14, forcing
+another OpenBLAS kernel (``OPENBLAS_CORETYPE`` set to Haswell, SandyBridge
+or Prescott) changes 16-21 of the 28 solution coordinates at ulp level.
+Regenerate on the default kernel of the machine whose test suite is to
+hold them.
 """
 
 import json
 import pathlib
 import sys
-from functools import partial
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from qpflow.fixtures import FIXTURE_NAMES, case_bytes
 from qpflow.grid import build_quadratic_forms, parse_case, residual
-from qpflow.newton import NewtonConfig, dense_lu_solve, lu_step, newton_raphson
+from qpflow.newton import newton_raphson
 
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qpflow" / "cases" / "goldens"
 
@@ -44,7 +45,7 @@ def main() -> None:
     for name in FIXTURE_NAMES:
         case = parse_case(case_bytes(name))
         problem = build_quadratic_forms(case)
-        u, trace = newton_raphson(problem, NewtonConfig(), partial(lu_step, solve=dense_lu_solve))
+        u, trace = newton_raphson(problem)
         if not trace.converged:
             raise SystemExit(f"{name}: oracle Newton did not converge")
         final = residual(problem, u)

@@ -20,7 +20,7 @@ from .grid import (
 )
 from .hhl import HHLConfig, HHLResult, ShadowReadout, hhl_solve, qpf_hhl, recover_normalization
 from .lcu import LCUDecomposition, hermitian_dilation, lcu_statistics, pauli_decompose, reconstruct, truncate
-from .newton import NewtonConfig, SingularJacobianError, SolveTrace, diagnostics_csv, lu_solve, newton_raphson
+from .newton import NewtonConfig, SolveTrace, diagnostics_csv, lu_solve, newton_raphson
 from .qsim import (
     DepthCounter,
     PauliString,

@@ -18,7 +18,7 @@ from .fixtures import harvest_jacobian_dilations
 from .grid import CaseError, SolverError, build_quadratic_forms, flat_start, jacobian, parse_case, residual
 from .hhl import HHLConfig, ShadowReadout, qpf_hhl
 from .lcu import hermitian_dilation, lcu_statistics, pauli_decompose, truncate
-from .newton import NewtonConfig, SingularJacobianError, diagnostics_csv, newton_raphson
+from .newton import NewtonConfig, diagnostics_csv, newton_raphson
 from .qsim import ordered_terms
 from .resources import (
     LOG_BASE_NOTE,
@@ -130,8 +130,10 @@ def cmd_solve(args) -> int:
     tol = _option(args, cfg, "tol", 1e-8, float)
     newton_cfg = NewtonConfig(k_max=max_iter, eps0=tol)
 
-    downloader = "exact"
-    if _option(args, cfg, "downloader", "exact") == "shadows":
+    downloader = _option(args, cfg, "downloader", "exact")
+    if downloader not in ("exact", "shadows"):
+        raise CaseError(f"config value 'downloader' must be 'exact' or 'shadows', got {downloader!r}")
+    if downloader == "shadows":
         downloader = ShadowReadout(samples=_option(args, cfg, "shots", 100_000, int), seed=seed)
 
     if method == "newton":
@@ -225,7 +227,7 @@ def cmd_lcu(args) -> int:
                 # exactly k steps: eps0 = tiny stops only at a zero residual, where a step is zero
                 u, _ = newton_raphson(problem, NewtonConfig(k_max=args.iterate, eps0=np.finfo(float).tiny))
             f = residual(problem, u)
-            j = jacobian(problem, u).toarray()
+            j = jacobian(problem, u)
             mats = [hermitian_dilation(j, -f)[0]]
     else:
         raise CaseError("need a case file or an explicit matrix")
@@ -276,6 +278,8 @@ def cmd_qram(args) -> int:
     chosen = [x is not None for x in (args.epsilon, args.target_infidelity, args.kappa_gamma)]
     if sum(chosen) != 1:
         raise CaseError("pass exactly one of --epsilon, --target-infidelity, --kappa-gamma")
+    if args.n_data is not None and args.n_data < 2:
+        raise CaseError(f"--n-data must be >= 2, got {args.n_data}")
     payload: dict = {"note": LOG_BASE_NOTE}
     if args.epsilon is not None:
         if args.n_data is None:
@@ -294,13 +298,7 @@ def cmd_qram(args) -> int:
             epsilon=qram_epsilon_for_infidelity(args.target_infidelity, args.n_data),
         )
     else:
-        budget = QramBudget(
-            data_size=args.n_data or 2,
-            kappa_gamma=args.kappa_gamma,
-            g_d=args.g_d,
-            nu=args.nu,
-            c_d=args.c_d,
-        )
+        budget = QramBudget(kappa_gamma=args.kappa_gamma, g_d=args.g_d, nu=args.nu, c_d=args.c_d)
         payload.update(
             kappa_gamma=args.kappa_gamma,
             g_d=args.g_d,
@@ -320,8 +318,15 @@ def cmd_diagnostics(args) -> int:
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: main reports it and exits 1, not argparse's 2."""
+
+    def error(self, message):
+        raise CaseError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qpflow", description=__doc__)
+    parser = _Parser(prog="qpflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run a power-flow solve")
@@ -385,14 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CaseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (SingularJacobianError, SolverError, FloatingPointError) as exc:
+    except (SolverError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

@@ -1,7 +1,8 @@
 """Bundled test grids, golden solutions, and the scenario harvester.
 
-Goldens are regenerated by ``scripts/make_goldens.py`` with the dense-LU
-Newton oracle; ``load_fixture`` refuses nothing but unknown names.
+Goldens are regenerated by ``scripts/make_goldens.py`` with the default
+Newton solve, the one ``qpflow solve --method newton`` runs;
+``load_fixture`` refuses nothing but unknown names.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def harvest_jacobian_dilations(
     rhss: list[np.ndarray] = []
 
     def recording_lu_step(j, f, iteration):
-        dilated, rhs = hermitian_dilation(j.toarray(), -f)
+        dilated, rhs = hermitian_dilation(j, -f)
         mats.append(dilated)
         rhss.append(rhs)
         return lu_step(j, f, iteration)

@@ -211,14 +211,14 @@ def parse_case(data: bytes | str) -> GridCase:
     return GridCase(renumbered, rebranched, index_map)
 
 
-def build_admittance(case: GridCase) -> sp.csr_matrix:
-    """Nodal admittance matrix from the pi-model branch data.
+def build_admittance(case: GridCase) -> np.ndarray:
+    """Dense nodal admittance matrix from the pi-model branch data.
 
     Parallel branches merge by admittance addition; each branch contributes
     half of its total shunt susceptance at either end.
     """
     n = case.n_bus
-    y = sp.lil_matrix((n, n), dtype=complex)
+    y = np.zeros((n, n), dtype=complex)
     for br in case.branches:
         if br.r == 0.0 and br.x == 0.0:
             raise CaseError(f"branch {br.from_bus}-{br.to_bus} has zero impedance")
@@ -228,7 +228,7 @@ def build_admittance(case: GridCase) -> sp.csr_matrix:
         y[t, t] += ys + 0.5j * br.b_sh
         y[f, t] -= ys
         y[t, f] -= ys
-    return y.tocsr()
+    return y
 
 
 def _symmetrize_drop(rows, cols, vals, dim) -> sp.csr_matrix:
@@ -246,13 +246,13 @@ def build_quadratic_forms(case: GridCase) -> PowerFlowProblem:
     with I = Y V written in real coordinates and symmetrized so that
     u^T M u is exact and the residual gradient is 2 M u.
     """
-    y = build_admittance(case).tocoo()
+    y = build_admittance(case)
     n = case.n_bus
     dim = 2 * n
-    # per-bus lists of (neighbor, G, B) including the self entry
+    # per-bus lists of (neighbor, G, B) including the self entry, row-major
     entries: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-    for k, l, v in zip(y.row, y.col, y.data):
-        entries[k].append((l, v.real, v.imag))
+    for k, l in zip(*np.nonzero(y)):
+        entries[k].append((l, y[k, l].real, y[k, l].imag))
 
     forms: list[sp.csr_matrix | None] = []
     rhs = np.zeros(dim)
@@ -324,8 +324,8 @@ def residual(problem: PowerFlowProblem, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobian(problem: PowerFlowProblem, u: np.ndarray) -> sp.csr_matrix:
-    """Row a is 2*(O_a u)^T; the slack-angle row is the constant unit row."""
+def jacobian(problem: PowerFlowProblem, u: np.ndarray) -> np.ndarray:
+    """Dense J: row a is 2*(O_a u)^T; the slack-angle row is the constant unit row."""
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.size != problem.dim:
         raise ValueError(f"state has length {u.size}, expected {problem.dim}")
@@ -337,25 +337,20 @@ def jacobian(problem: PowerFlowProblem, u: np.ndarray) -> sp.csr_matrix:
             rows.append(row)
         else:
             rows.append(2.0 * (form @ u))
-    j = sp.csr_matrix(np.vstack(rows))
-    j.eliminate_zeros()
-    return j
+    return np.vstack(rows)
 
 
-def sparsity(j: sp.spmatrix) -> int:
+def sparsity(j: np.ndarray) -> int:
     """Max nonzero count over rows and columns (strict nonzeros)."""
-    csr = j.tocsr().copy()
-    csr.eliminate_zeros()
-    row_counts = np.diff(csr.indptr)
-    col_counts = np.diff(csr.tocsc().indptr)
-    if row_counts.size == 0:
+    nonzero = np.asarray(j) != 0
+    if nonzero.size == 0:
         return 0
-    return int(max(row_counts.max(), col_counts.max()))
+    return int(max(nonzero.sum(axis=1).max(), nonzero.sum(axis=0).max()))
 
 
-def condition_number(j) -> float:
+def condition_number(j: np.ndarray) -> float:
     """sigma_max / sigma_min via dense SVD; +inf below 1e-300."""
-    dense = j.toarray() if sp.issparse(j) else np.asarray(j, dtype=float)
+    dense = np.asarray(j, dtype=float)
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("matrix must be square")
     if dense.shape[0] > _DENSE_SVD_LIMIT:

@@ -231,7 +231,7 @@ def quantum_step(inner_solve, downloader="exact"):
     """
 
     def step(j, f, iteration):
-        a_tilde, b_tilde = hermitian_dilation(j.toarray(), -f)
+        a_tilde, b_tilde = hermitian_dilation(j, -f)
         x_unit, extras = inner_solve(a_tilde, b_tilde, iteration)
         x_unit = download_state(x_unit, downloader, iteration)
         scale = recover_normalization(x_unit, a_tilde, b_tilde)

@@ -3,9 +3,10 @@
 Every Newton power flow here (classical, QPF-HHL, QPF-VQLS, the scenario
 harvester, ``qpflow lcu --iterate``) runs ``newton_raphson``; only the
 inner step that returns dU from J dU = -F differs.  The default step,
-lu_step, is a sparse LU solve; run through dense_lu_solve it is the
-independent oracle that regenerates the golden fixtures.  The quantum step
-of QPF-HHL and QPF-VQLS lives in ``qpflow.hhl``.
+lu_step, is one dense LAPACK LU solve on the dense Jacobian; the CLI runs
+it, and so does ``scripts/make_goldens.py``, so the golden fixtures are
+the CLI's own output, bit for bit on the BLAS kernel that wrote them.  The
+quantum step of QPF-HHL and QPF-VQLS lives in ``qpflow.hhl``.
 """
 
 from __future__ import annotations
@@ -14,17 +15,11 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grid import PowerFlowProblem, condition_number, flat_start, jacobian, residual, sparsity
+from .grid import PowerFlowProblem, SolverError, condition_number, flat_start, jacobian, residual, sparsity
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 20
-
-
-class SingularJacobianError(RuntimeError):
-    """The inner linear system could not be solved to working precision."""
 
 
 @dataclass
@@ -44,14 +39,14 @@ class NewtonConfig:
 class SolveTrace:
     """Per-iteration diagnostics; residuals are post-step infinity norms.
 
-    ``jacobians`` holds each iteration's sparse J as built, before its step.
+    ``jacobians`` holds each iteration's dense J as built, before its step.
     Its condition numbers and sparsities are computed when read, so loops
     that never report them (the scenario harvester, ``qpflow lcu
     --iterate``) never pay for a dense SVD.
     """
 
     residuals: list[float] = field(default_factory=list)
-    jacobians: list[sp.spmatrix] = field(default_factory=list)
+    jacobians: list[np.ndarray] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
@@ -66,45 +61,34 @@ class SolveTrace:
         return [sparsity(j) for j in self.jacobians]
 
 
-def lu_solve(a, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b by LU with one step of iterative refinement.
+def lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by dense LU with one step of iterative refinement.
 
     Guarantees the residual contract ||A x - b||_inf <= 1e-10 * ||b||_inf
-    or raises SingularJacobianError.
+    or raises SolverError.
     """
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     try:
-        if sp.issparse(a):
-            factor = spla.splu(a.tocsc())
-            x = factor.solve(b)
-            x += factor.solve(b - a @ x)
-        else:
-            dense = np.asarray(a, dtype=float)
-            x = np.linalg.solve(dense, b)
-            x += np.linalg.solve(dense, b - dense @ x)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        raise SingularJacobianError(f"linear solve failed: {exc}") from exc
+        x = np.linalg.solve(a, b)
+        x += np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"linear solve failed: {exc}") from exc
     resid = np.max(np.abs(a @ x - b))
     bound = 1e-10 * max(np.max(np.abs(b)), 1e-300)
     if not np.isfinite(resid) or resid > bound:
-        raise SingularJacobianError(f"solution residual {resid:.3g} exceeds {bound:.3g}")
+        raise SolverError(f"solution residual {resid:.3g} exceeds {bound:.3g}")
     return x
 
 
-def dense_lu_solve(a, b: np.ndarray) -> np.ndarray:
-    """Dense-path variant of lu_solve (the fixture oracle)."""
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-    return lu_solve(dense, b)
-
-
-def lu_step(j, f: np.ndarray, iteration: int, solve=None) -> tuple[np.ndarray, dict]:
-    """Exact Newton step dU = -J^-1 F by ``solve`` (lu_solve when None).
+def lu_step(j: np.ndarray, f: np.ndarray, iteration: int) -> tuple[np.ndarray, dict]:
+    """Exact Newton step dU = -J^-1 F by lu_solve.
 
     The slack-angle row of J is the unit row e_1, so the exact step's entry 1
     is -F[1] = -u[1]; taking it verbatim puts u[1] + dU[1] at exactly 0.0
     instead of at round-off that differs between BLAS builds.
     """
-    du = (solve or lu_solve)(j, -f)
+    du = lu_solve(j, -f)
     du[1] = -f[1]
     return du, {}
 
@@ -116,7 +100,7 @@ def newton_raphson(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Iterate u <- u + dU until ||F||_inf < eps0 or k_max steps.
 
-    ``inner(j, f, iteration)`` returns (dU, extras) for the sparse Jacobian
+    ``inner(j, f, iteration)`` returns (dU, extras) for the dense Jacobian
     j and residual f; each extras value is appended to the trace-extras list
     of its key.  The default inner step is lu_step.  An already-converged
     initial guess returns immediately with an empty trace.  Non-finite

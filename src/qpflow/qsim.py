@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from . import _kernels
 
@@ -276,7 +275,9 @@ class PhaseEstimation:
             hit = rows[(rows >> j) & 1 == 1]
             psi[hit] = np.einsum("ba,rbt->rat", self.blocks[j].conj(), psi[hit])
             self._count_block(counter, j)
-        psi = np.einsum("kr,rbt->kbt", hadamard(1 << c) / np.sqrt(1 << c), psi)
+        # Sylvester Hadamard on the clock: H[k, r] = (-1)^popcount(k & r)
+        hadamard = (-1.0) ** np.bitwise_count(rows[:, None] & rows[None, :])
+        psi = np.einsum("kr,rbt->kbt", hadamard / np.sqrt(1 << c), psi)
         counter.add_single(c)
         return StateVector(state.n, psi.reshape(-1))
 

@@ -48,15 +48,12 @@ class DepthQuery:
 
 @dataclass
 class QramBudget:
-    data_size: int
     kappa_gamma: float = 0.0  # summed phonon+transmon decoherence rate, Hz * 2*pi
     g_d: float = 2 * np.pi * 1e3  # direct coupling, Hz * 2*pi
     nu: float = 2 * np.pi * 1e7  # free spectral range, Hz * 2*pi
     c_d: float = 4.5  # average gate-duration constant
 
     def __post_init__(self):
-        if self.data_size < 2:
-            raise ValueError("data size must be >= 2")
         if self.g_d <= 0 or self.nu <= 0:
             raise ValueError("coupling and free spectral range must be positive")
         if self.kappa_gamma < 0 or self.c_d <= 0:

@@ -62,7 +62,7 @@ def test_criterion_01_classical_baseline():
         # central finite differences, h = 1e-6, relative 1e-5
         rng = np.random.default_rng(1)
         u_pt = flat_start(problem.n_bus) + 0.05 * rng.normal(size=problem.dim)
-        j = jacobian(problem, u_pt).toarray()
+        j = jacobian(problem, u_pt)
         fd = np.empty_like(j)
         h = 1e-6
         for col in range(problem.dim):
@@ -309,7 +309,7 @@ def test_criterion_11_qram_budget():
     start = time.time()
     eps = qram_epsilon_for_infidelity(1e-4, 10**5)
     assert eps == pytest.approx(1.45e-6, rel=0.01)
-    floor = qram_epsilon_hardware(QramBudget(data_size=10**5, kappa_gamma=0.0))
+    floor = qram_epsilon_hardware(QramBudget(kappa_gamma=0.0))
     assert floor == pytest.approx(1e-8, rel=1e-12)
     elapsed = time.time() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"

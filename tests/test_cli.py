@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qpflow.cli import main
+from qpflow.fixtures import FIXTURE_NAMES, load_fixture
 
 CASE3 = str(resources.files("qpflow.cases").joinpath("case3.json"))
 CASE14 = str(resources.files("qpflow.cases").joinpath("case14.json"))
@@ -41,6 +42,10 @@ BAD_INPUTS = {
         ["solve", CASE3, "--method", "vqls", "--layers", "-1", "--max-iter", "1", "--max-steps", "2"],
     ),
     "lcu-truncate-zero": ("m.json", np.eye(2).tolist(), ["lcu", "--matrix", "{}", "--truncate", "0"]),
+    "unknown-flag": (None, None, ["solve", CASE3, "--bogus"]),
+    "max-iter-not-int": (None, None, ["solve", CASE3, "--max-iter", "x"]),
+    "config-downloader-misspelt": ("cfg.json", {"downloader": "shadow"}, ["solve", CASE3, "--config", "{}"]),
+    "qram-n-data-zero": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "0"]),
 }
 
 
@@ -52,6 +57,19 @@ class TestSolve:
         payload = json.loads(out.read_text())
         assert payload["converged"]
         assert payload["residual_norm"] < 1e-8
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_newton_equals_golden(self, name, tmp_path):
+        # the goldens are regenerated by the same Newton step the CLI runs
+        out = tmp_path / "run.json"
+        case = str(resources.files("qpflow.cases").joinpath(f"{name}.json"))
+        assert run_cli(["solve", case, "--method", "newton", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        golden = load_fixture(name)[1]
+        assert payload["solution"] == golden["solution"]
+        assert payload["iterations"] == golden["iterations"]
+        for key in ("residuals", "step_norms", "kappas", "sparsities"):
+            assert payload["trace"][key] == golden["trace"][key], key
 
     def test_hhl_matches_newton(self, tmp_path):
         newton_out = tmp_path / "newton.json"

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -41,11 +39,11 @@ class TestLoadFixture:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_goldens_regenerate_identically(self, name):
-        from qpflow.newton import NewtonConfig, dense_lu_solve, lu_step, newton_raphson
+        from qpflow.newton import newton_raphson
 
         case, goldens = load_fixture(name)
         problem = build_quadratic_forms(case)
-        u, trace = newton_raphson(problem, NewtonConfig(), partial(lu_step, solve=dense_lu_solve))
+        u, trace = newton_raphson(problem)
         assert u.tolist() == goldens["solution"]
         assert trace.residuals == goldens["trace"]["residuals"]
 

@@ -140,7 +140,7 @@ class TestDilation:
         u = flat_start(14)
         f = residual(problem14, u)
         j = jacobian(problem14, u)
-        tilde, rhs = hermitian_dilation(j.toarray(), -f)
+        tilde, rhs = hermitian_dilation(j, -f)
         assert tilde.shape == (64, 64)
         x = lu_solve(tilde, rhs)
         du = lu_solve(j, -f)

@@ -1,21 +1,15 @@
 import json
-from functools import partial
 from importlib import resources
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qpflow.grid import flat_start, residual
-from qpflow.newton import (
-    NewtonConfig,
-    SingularJacobianError,
-    dense_lu_solve,
-    diagnostics_csv,
-    lu_solve,
-    lu_step,
-    newton_raphson,
-)
+import qpflow.newton
+from qpflow.grid import SolverError, flat_start
+from qpflow.newton import NewtonConfig, diagnostics_csv, lu_solve, newton_raphson
 
 CASE14 = str(resources.files("qpflow.cases").joinpath("case14.json"))
 
@@ -42,6 +36,26 @@ def gaussian_elimination_oracle(a, b):
     return x
 
 
+def lu_solve_with_roundoff(a, b):
+    """lu_solve plus a last-bits error in every entry, the slack entry included."""
+    x = lu_solve(a, b)
+    return x + 1e-15 * np.max(np.abs(x))
+
+
+@st.composite
+def dominant_systems(draw):
+    """(A, b) with n <= 30, a random zero pattern and a strictly dominant diagonal."""
+    n = draw(st.integers(1, 30))
+    entries = draw(arrays(np.float64, (n, n), elements=st.floats(-1, 1, allow_subnormal=False)))
+    pattern = draw(arrays(np.bool_, (n, n)))
+    a = np.where(pattern, entries, 0.0)
+    np.fill_diagonal(a, 0.0)
+    sign = np.where(draw(arrays(np.bool_, n)), 1.0, -1.0)
+    np.fill_diagonal(a, sign * (np.abs(a).sum(axis=1) + 1.0))
+    b = draw(arrays(np.float64, n, elements=st.floats(-1, 1, allow_subnormal=False)))
+    return a, b
+
+
 class TestLuSolve:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
@@ -57,16 +71,26 @@ class TestLuSolve:
         b = rng.normal(size=64)
         assert np.max(np.abs(lu_solve(a, b) - gaussian_elimination_oracle(a, b))) < 1e-10
 
-    def test_sparse_path(self):
-        rng = np.random.default_rng(5)
-        a = sp.random(40, 40, density=0.2, random_state=3, format="csr") + 40 * sp.eye(40)
-        b = rng.normal(size=40)
-        x = lu_solve(a.tocsr(), b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
-
     def test_singular_raises(self):
-        with pytest.raises(SingularJacobianError):
+        with pytest.raises(SolverError):
             lu_solve(np.zeros((3, 3)), np.ones(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dominant_systems())
+    def test_property_residual_and_oracle(self, system):
+        a, b = system
+        x = lu_solve(a, b)
+        assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
+        # |x| <= |b| <= 1 under a diagonal margin of 1, so the bound is relative too
+        assert np.max(np.abs(x - gaussian_elimination_oracle(a, b))) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(dominant_systems(), st.data())
+    def test_property_zero_row_raises(self, system, data):
+        a, b = system
+        a[data.draw(st.integers(0, a.shape[0] - 1))] = 0.0
+        with pytest.raises(SolverError):
+            lu_solve(a, b)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(2)
@@ -96,11 +120,6 @@ class TestNewton:
     def test_case3_within_six_iterations(self, problem3):
         _, trace = newton_raphson(problem3)
         assert trace.iterations <= 6
-
-    def test_matches_dense_oracle(self, problem14):
-        u_sparse, _ = newton_raphson(problem14, inner=lu_step)
-        u_dense, _ = newton_raphson(problem14, inner=partial(lu_step, solve=dense_lu_solve))
-        assert np.max(np.abs(u_sparse - u_dense)) < 1e-8
 
     def test_golden_agreement(self, problem14):
         from qpflow.fixtures import load_fixture
@@ -141,25 +160,29 @@ class TestNewton:
         assert trace.iterations == 1
 
     # the slack-angle row is the linear constraint u[1] = 0, which an exact
-    # Newton step satisfies; the returned state must hold it exactly
-    @pytest.mark.parametrize("solver", [lu_solve, dense_lu_solve])
+    # Newton step satisfies; the returned state must hold it exactly, even
+    # when the LU solve leaves round-off in the slack entry.  lu_step looks
+    # lu_solve up at call time, so patching the module global reaches it.
+    @pytest.mark.parametrize("solver", [lu_solve, lu_solve_with_roundoff])
     @pytest.mark.parametrize("name", ["3", "5", "14"])
-    def test_slack_angle_held_at_zero(self, name, solver, request):
+    def test_slack_angle_held_at_zero(self, name, solver, request, monkeypatch):
+        monkeypatch.setattr(qpflow.newton, "lu_solve", solver)
         problem = request.getfixturevalue(f"problem{name}")
-        u, trace = newton_raphson(problem, inner=partial(lu_step, solve=solver))
+        u, trace = newton_raphson(problem)
         assert trace.converged
         assert u[1] == 0.0
 
-    @pytest.mark.parametrize("solver", [lu_solve, dense_lu_solve])
+    @pytest.mark.parametrize("solver", [lu_solve, lu_solve_with_roundoff])
     @pytest.mark.parametrize("name", ["3", "5", "14"])
-    def test_slack_angle_reset_from_nonzero_start(self, name, solver, request):
+    def test_slack_angle_reset_from_nonzero_start(self, name, solver, request, monkeypatch):
+        monkeypatch.setattr(qpflow.newton, "lu_solve", solver)
         problem = request.getfixturevalue(f"problem{name}")
         u0 = flat_start(problem.n_bus)
         u0[1] = 0.1
-        u, trace = newton_raphson(problem, NewtonConfig(u0=u0, k_max=1), partial(lu_step, solve=solver))
+        u, trace = newton_raphson(problem, NewtonConfig(u0=u0, k_max=1))
         assert trace.iterations == 1
         assert u[1] == 0.0
-        u, trace = newton_raphson(problem, NewtonConfig(u0=u0), partial(lu_step, solve=solver))
+        u, trace = newton_raphson(problem, NewtonConfig(u0=u0))
         assert trace.converged
         assert u[1] == 0.0
 

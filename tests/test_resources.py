@@ -94,24 +94,24 @@ class TestQram:
         assert qram_infidelity(1e-3, 10**6) > qram_infidelity(1e-3, 10**3)
 
     def test_hardware_floor_at_zero_decoherence(self):
-        budget = QramBudget(data_size=10**5)
+        budget = QramBudget()
         assert qram_epsilon_hardware(budget) == pytest.approx(1e-8)
 
     def test_first_term_linear_in_decoherence(self):
-        b1 = QramBudget(data_size=100, kappa_gamma=10.0)
-        b2 = QramBudget(data_size=100, kappa_gamma=20.0)
-        floor = qram_epsilon_hardware(QramBudget(data_size=100))
+        b1 = QramBudget(kappa_gamma=10.0)
+        b2 = QramBudget(kappa_gamma=20.0)
+        floor = qram_epsilon_hardware(QramBudget())
         assert qram_epsilon_hardware(b2) - floor == pytest.approx(
             2 * (qram_epsilon_hardware(b1) - floor)
         )
 
     def test_default_gate_duration_constant(self):
         # the averaged CZ/SWAP gate-duration constant
-        assert QramBudget(data_size=4).c_d == 4.5
+        assert QramBudget().c_d == 4.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QramBudget(data_size=1)
+            QramBudget(c_d=0.0)
         with pytest.raises(ValueError):
             qram_epsilon_for_infidelity(0.0, 100)
 
