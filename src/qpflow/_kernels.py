@@ -3,7 +3,8 @@
 Pauli exponentials, Pauli-coefficient extraction, and classical-shadow
 sampling and estimation.  Each kernel works on index arrays and bit masks
 instead of dense Pauli matrices, so its cost is linear in the state
-dimension (times 4**n words for the coefficient transform).
+dimension.  The coefficient transform pays that for each of the 4**n
+words, O(8**n) in all, and runs a chunk of words per numpy pass.
 
 Index convention used throughout the package: qubit 0 is the most
 significant bit of a basis-state index (big-endian), so the bit position
@@ -19,6 +20,7 @@ USING_NUMBA = False
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _SNAPSHOT_CHUNK = 1024  # snapshots rotated together, to bound the working block
+_WORD_CHUNK = 256  # Pauli words gathered together, to bound the working block
 # i**y for y = 0..3, used for the phase of Pauli words containing Y letters
 _I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -39,37 +41,44 @@ def pauli_exp_apply(amps, flip, sign_mask, y_count, angle):
     return out
 
 
+def _word_masks(n):
+    """Flip, sign and Y-count masks of all 4**n Pauli words, by base-4 digit."""
+    words = np.arange(4**n, dtype=np.int64)
+    flip = np.zeros_like(words)
+    sign = np.zeros_like(words)
+    ycount = np.zeros_like(words)
+    for q in range(n):
+        pos = n - 1 - q
+        digit = (words >> (2 * pos)) & 3  # 0=I, 1=X, 2=Y, 3=Z
+        flip |= ((digit == 1) | (digit == 2)).astype(np.int64) << pos
+        sign |= (digit >= 2).astype(np.int64) << pos
+        ycount += digit == 2
+    return flip, sign, ycount
+
+
 def pauli_coefficients(a, n):
     """All 4**n Pauli-basis coefficients Tr(P_p A)/2**n of a Hermitian matrix.
 
     Index p encodes the Pauli word base-4 (0=I,1=X,2=Y,3=Z), qubit 0 in the
     most significant digit.  Imaginary parts (zero for Hermitian input up to
     rounding) are discarded.
+
+    Word p reads the 2**n entries A[j ^ flip_p, j] with parity signs, so the
+    cost is O(8**n).  Words are gathered ``_WORD_CHUNK`` at a time into one
+    (words, 2**n) block and each row is reduced by the same pairwise sum a
+    1-D ``np.sum`` runs, so the result does not depend on the chunking.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
-    coeffs = np.empty(4**n, dtype=np.float64)
-    for p in range(4**n):
-        flip = 0
-        sign = 0
-        ycount = 0
-        for q in range(n):
-            d = (p >> (2 * (n - 1 - q))) & 3
-            pos = n - 1 - q
-            if d == 1:  # X
-                flip |= 1 << pos
-            elif d == 2:  # Y
-                flip |= 1 << pos
-                sign |= 1 << pos
-                ycount += 1
-            elif d == 3:  # Z
-                sign |= 1 << pos
-        k = idx ^ flip
-        signs = 1.0 - 2.0 * (np.bitwise_count(k & sign) & 1)
-        acc = np.sum(signs * a[k, idx])
-        coeffs[p] = (_I_POW[ycount & 3] * acc).real / dim
-    return coeffs
+    flip, sign, ycount = _word_masks(n)
+    sums = np.empty(4**n, dtype=np.complex128)
+    for lo in range(0, 4**n, _WORD_CHUNK):
+        words = slice(lo, lo + _WORD_CHUNK)
+        k = idx ^ flip[words, None]
+        signs = 1.0 - 2.0 * (np.bitwise_count(k & sign[words, None]) & 1)
+        sums[words] = np.sum(signs * a[k, idx], axis=1)
+    return (_I_POW[ycount & 3] * sums).real / dim
 
 
 def sample_snapshots(amps, n, bases, unif):

@@ -298,6 +298,8 @@ def cmd_qram(args) -> int:
             epsilon=qram_epsilon_for_infidelity(args.target_infidelity, args.n_data),
         )
     else:
+        if args.n_data is not None:
+            raise CaseError("--kappa-gamma takes no --n-data: the hardware floor does not depend on the data size")
         budget = QramBudget(kappa_gamma=args.kappa_gamma, g_d=args.g_d, nu=args.nu, c_d=args.c_d)
         payload.update(
             kappa_gamma=args.kappa_gamma,

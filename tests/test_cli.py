@@ -46,6 +46,7 @@ BAD_INPUTS = {
     "max-iter-not-int": (None, None, ["solve", CASE3, "--max-iter", "x"]),
     "config-downloader-misspelt": ("cfg.json", {"downloader": "shadow"}, ["solve", CASE3, "--config", "{}"]),
     "qram-n-data-zero": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "0"]),
+    "qram-n-data-with-kappa-gamma": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "5"]),
 }
 
 

@@ -3,12 +3,15 @@
 Each kernel works on bit masks and index arrays; the oracles build the
 same quantities from dense Pauli matrices, basis rotations and density
 matrices, which is slow but leaves no room for a masking or sign error.
+The Pauli-coefficient kernel is also held bit for bit to a one-word-at-a-time
+loop, whose coefficient bits decide the tie order of the Trotter factors.
 """
 
 import numpy as np
 import pytest
 
 from qpflow import _kernels
+from qpflow.fixtures import harvest_jacobian_dilations
 from qpflow.qsim import PauliString
 
 # rotation applied before a computational-basis readout, per basis code
@@ -50,6 +53,53 @@ def snapshot_rho(basis_row, outcome, n):
         ket = u.conj().T[:, (outcome >> (n - 1 - q)) & 1]
         factors.append(3.0 * np.outer(ket, ket.conj()) - np.eye(2))
     return kron_all(factors)
+
+
+# i**y for y = 0..3, the phase of a Pauli word with y Y letters
+_I_POW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+
+
+def loop_pauli_coefficients(a, n):
+    """One word at a time: the arithmetic the chunked kernel must reproduce bit for bit."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    coeffs = np.empty(4**n, dtype=np.float64)
+    for p in range(4**n):
+        flip = 0
+        sign = 0
+        ycount = 0
+        for q in range(n):
+            d = (p >> (2 * (n - 1 - q))) & 3
+            pos = n - 1 - q
+            if d == 1:  # X
+                flip |= 1 << pos
+            elif d == 2:  # Y
+                flip |= 1 << pos
+                sign |= 1 << pos
+                ycount += 1
+            elif d == 3:  # Z
+                sign |= 1 << pos
+        k = idx ^ flip
+        signs = 1.0 - 2.0 * (np.bitwise_count(k & sign) & 1)
+        acc = np.sum(signs * a[k, idx])
+        coeffs[p] = (_I_POW[ycount & 3] * acc).real / dim
+    return coeffs
+
+
+# Pauli matrices in word-digit order I, X, Y, Z
+_PAULI_STACK = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def tensorized_pauli_coefficients(a, n):
+    """Tr(P_p A)/2**n by contracting one qubit's (row, column) pair at a time."""
+    # axes (r_0, ..., r_{n-1}, c_0, ..., c_{n-1}) -> (r_0, c_0, r_1, c_1, ...)
+    t = a.reshape((2,) * (2 * n)).transpose([ax for q in range(n) for ax in (q, n + q)])
+    for q in range(n):
+        # Tr(P A) = sum_{r, c} P[c, r] A[r, c], one qubit's factor at a time
+        t = t.reshape(4**q, 2, 2, -1)
+        t = np.einsum("pcr,arcb->apb", _PAULI_STACK, t) / 2.0
+    return t.reshape(-1).real
 
 
 def word_of(p, n):
@@ -134,6 +184,24 @@ class TestKernelSemantics:
             for p in range(4**n):
                 want = np.trace(PauliString(n, word_of(p, n)).dense() @ a).real / dim
                 assert coeffs[p] == pytest.approx(want, abs=1e-12)
+
+    def test_coefficients_bit_identical_to_word_loop(self):
+        rng = np.random.default_rng(9)
+        for n in range(1, 8):
+            a = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+            a = a + a.conj().T
+            assert np.array_equal(_kernels.pauli_coefficients(a, n), loop_pauli_coefficients(a, n))
+
+    def test_coefficients_bit_identical_on_case14_harvest(self, case14):
+        for m in harvest_jacobian_dilations(case14, count=12, seed=0):
+            assert np.array_equal(_kernels.pauli_coefficients(m, 6), loop_pauli_coefficients(m, 6))
+
+    def test_coefficients_match_tensorized_transform_n8(self):
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        a = a + a.conj().T
+        got = _kernels.pauli_coefficients(a, 8)
+        assert np.max(np.abs(got - tensorized_pauli_coefficients(a, 8))) < 1e-12 * np.max(np.abs(a))
 
     def test_ketbra_diagonal_is_probability(self):
         rng = np.random.default_rng(6)

@@ -146,6 +146,18 @@ class TestDilation:
         du = lu_solve(j, -f)
         assert np.max(np.abs(x[28:56] - du)) < 1e-8
 
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 16), st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+    def test_sparse_dilation_decompose_roundtrip(self, m, density, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(m, m)) * (rng.random((m, m)) < density)
+        tilde, _ = hermitian_dilation(a, rng.normal(size=m))
+        n = tilde.shape[0].bit_length() - 1
+        dec = pauli_decompose(tilde, drop_tol=0.0)
+        assert np.max(np.abs(reconstruct(dec) - tilde)) < 1e-10
+        parseval = sum(c * c for _, c in dec.terms)
+        assert parseval == pytest.approx(float(np.trace(tilde @ tilde)) / 2**n, rel=1e-10)
+
     def test_spectral_norm_preserved(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
