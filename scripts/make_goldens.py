@@ -7,13 +7,14 @@ Run from the repository root:
 
 The oracle is the Newton step that ``qpflow solve --method newton`` runs,
 so the goldens are the CLI's own output.  They are deterministic (no
-randomness is involved), but bit-identity holds only for the same
-numpy/OpenBLAS build running the same CPU kernel: the LAPACK LU round-off
-in the last bits of the solution depends on both.  On case14, forcing
-another OpenBLAS kernel (``OPENBLAS_CORETYPE`` set to Haswell, SandyBridge
-or Prescott) changes 16-21 of the 28 solution coordinates at ulp level.
-Regenerate on the default kernel of the machine whose test suite is to
-hold them.
+randomness is involved).  The residual and the Jacobian are numpy
+reductions that call no BLAS, so they give the same bits on every
+OpenBLAS kernel; the LAPACK LU of the Newton step does not, and its
+round-off in the last bits of the solution depends on the numpy/OpenBLAS
+build and on the CPU kernel it runs.  Forcing another OpenBLAS kernel
+(``OPENBLAS_CORETYPE`` set to Haswell, SandyBridge or Prescott) can
+therefore move solution coordinates at ulp level.  Regenerate on the
+default kernel of the machine whose test suite is to hold them.
 """
 
 import json

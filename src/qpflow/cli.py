@@ -280,6 +280,10 @@ def cmd_qram(args) -> int:
         raise CaseError("pass exactly one of --epsilon, --target-infidelity, --kappa-gamma")
     if args.n_data is not None and args.n_data < 2:
         raise CaseError(f"--n-data must be >= 2, got {args.n_data}")
+    hardware = {key: value for key in ("g_d", "nu", "c_d") if (value := getattr(args, key)) is not None}
+    if hardware and args.kappa_gamma is None:
+        flags = ", ".join("--" + key.replace("_", "-") for key in hardware)
+        raise CaseError(f"the data-size budgets take no {flags}: these hardware constants go with --kappa-gamma")
     payload: dict = {"note": LOG_BASE_NOTE}
     if args.epsilon is not None:
         if args.n_data is None:
@@ -300,12 +304,12 @@ def cmd_qram(args) -> int:
     else:
         if args.n_data is not None:
             raise CaseError("--kappa-gamma takes no --n-data: the hardware floor does not depend on the data size")
-        budget = QramBudget(kappa_gamma=args.kappa_gamma, g_d=args.g_d, nu=args.nu, c_d=args.c_d)
+        budget = QramBudget(kappa_gamma=args.kappa_gamma, **hardware)
         payload.update(
-            kappa_gamma=args.kappa_gamma,
-            g_d=args.g_d,
-            nu=args.nu,
-            c_d=args.c_d,
+            kappa_gamma=budget.kappa_gamma,
+            g_d=budget.g_d,
+            nu=budget.nu,
+            c_d=budget.c_d,
             epsilon=qram_epsilon_hardware(budget),
         )
     _write_output(args, _json_bytes(payload))
@@ -377,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     qram.add_argument("--epsilon", type=float)
     qram.add_argument("--target-infidelity", dest="target_infidelity", type=float)
     qram.add_argument("--kappa-gamma", dest="kappa_gamma", type=float)
-    qram.add_argument("--g-d", dest="g_d", type=float, default=2 * np.pi * 1e3)
-    qram.add_argument("--nu", type=float, default=2 * np.pi * 1e7)
-    qram.add_argument("--c-d", dest="c_d", type=float, default=4.5)
+    qram.add_argument("--g-d", dest="g_d", type=float)
+    qram.add_argument("--nu", type=float)
+    qram.add_argument("--c-d", dest="c_d", type=float)
     qram.add_argument("--out")
     qram.set_defaults(func=cmd_qram)
 

@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 STRUCTURAL_ZERO = 1e-14
 _DENSE_SVD_LIMIT = 2048
@@ -83,13 +82,13 @@ class GridCase:
 class PowerFlowProblem:
     """Quadratic forms O_a and constants f_a, one row per equation.
 
-    forms[a] is a symmetric CSR matrix for quadratic rows and None for the
-    slack-angle row (linear in u).  row_bus[a] is the 0-based bus the row
-    balances.
+    forms is a dense (2N, 2N, 2N) array whose slice forms[a] is the
+    symmetric O_a; the slack-angle row (linear in u, always row 1) has an
+    all-zero slice.  row_bus[a] is the 0-based bus the row balances.
     """
 
     n_bus: int
-    forms: list[sp.csr_matrix | None]
+    forms: np.ndarray
     rhs: np.ndarray
     row_kind: list[RowKind]
     row_bus: list[int]
@@ -231,14 +230,6 @@ def build_admittance(case: GridCase) -> np.ndarray:
     return y
 
 
-def _symmetrize_drop(rows, cols, vals, dim) -> sp.csr_matrix:
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    m = (m + m.T) * 0.5
-    m.data[np.abs(m.data) < STRUCTURAL_ZERO] = 0.0
-    m.eliminate_zeros()
-    return m
-
-
 def build_quadratic_forms(case: GridCase) -> PowerFlowProblem:
     """Assemble the per-row quadratic forms and right-hand constants.
 
@@ -247,97 +238,60 @@ def build_quadratic_forms(case: GridCase) -> PowerFlowProblem:
     u^T M u is exact and the residual gradient is 2 M u.
     """
     y = build_admittance(case)
-    n = case.n_bus
-    dim = 2 * n
-    # per-bus lists of (neighbor, G, B) including the self entry, row-major
-    entries: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-    for k, l in zip(*np.nonzero(y)):
-        entries[k].append((l, y[k, l].real, y[k, l].imag))
-
-    forms: list[sp.csr_matrix | None] = []
+    g, b = y.real, y.imag
+    dim = 2 * case.n_bus
+    forms = np.zeros((dim, dim, dim))
     rhs = np.zeros(dim)
     row_kind: list[RowKind] = []
-    row_bus: list[int] = []
-
-    def p_form(k: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for l, g, b in entries[k]:
-            rows += [2 * k, 2 * k, 2 * k + 1, 2 * k + 1]
-            cols += [2 * l, 2 * l + 1, 2 * l, 2 * l + 1]
-            vals += [g, -b, b, g]
-        return _symmetrize_drop(rows, cols, vals, dim)
-
-    def q_form(k: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for l, g, b in entries[k]:
-            rows += [2 * k + 1, 2 * k + 1, 2 * k, 2 * k]
-            cols += [2 * l, 2 * l + 1, 2 * l + 1, 2 * l]
-            vals += [g, -b, -g, -b]
-        return _symmetrize_drop(rows, cols, vals, dim)
-
-    def v_form(k: int) -> sp.csr_matrix:
-        return sp.coo_matrix(([1.0, 1.0], ([2 * k, 2 * k + 1], [2 * k, 2 * k + 1])), shape=(dim, dim)).tocsr()
-
     for k, bus in enumerate(case.buses):
+        re, im = 2 * k, 2 * k + 1
         if bus.kind is BusKind.SLACK:
-            forms.append(v_form(k))
-            rhs[2 * k] = bus.v_set**2
-            row_kind.append(RowKind.VMAG_SLACK)
-            row_bus.append(k)
-            forms.append(None)
-            rhs[2 * k + 1] = 0.0
-            row_kind.append(RowKind.THETA_SLACK)
-            row_bus.append(k)
-        elif bus.kind is BusKind.PV:
-            forms.append(p_form(k))
-            rhs[2 * k] = bus.p_gen
-            row_kind.append(RowKind.P_INJ)
-            row_bus.append(k)
-            forms.append(v_form(k))
-            rhs[2 * k + 1] = bus.v_set**2
-            row_kind.append(RowKind.VMAG)
-            row_bus.append(k)
+            row_kind += [RowKind.VMAG_SLACK, RowKind.THETA_SLACK]
+            rhs[re] = bus.v_set**2
+            forms[re, re, re] = forms[re, im, im] = 1.0
+            continue
+        # P_k = Re V_k conj(I_k), I = (G + iB) V: before symmetrizing, rows Re V_k and
+        # Im V_k hold (G_k, -B_k) and (B_k, G_k) against the columns (Re V, Im V)
+        p = forms[re]
+        p[re, 0::2], p[re, 1::2], p[im, 0::2], p[im, 1::2] = g[k], -b[k], b[k], g[k]
+        if bus.kind is BusKind.PV:
+            row_kind += [RowKind.P_INJ, RowKind.VMAG]
+            rhs[re], rhs[im] = bus.p_gen, bus.v_set**2
+            forms[im, re, re] = forms[im, im, im] = 1.0
         else:
-            forms.append(p_form(k))
-            rhs[2 * k] = -bus.p_load
-            row_kind.append(RowKind.P_INJ)
-            row_bus.append(k)
-            forms.append(q_form(k))
-            rhs[2 * k + 1] = -bus.q_load
-            row_kind.append(RowKind.Q_INJ)
-            row_bus.append(k)
+            row_kind += [RowKind.P_INJ, RowKind.Q_INJ]
+            rhs[re], rhs[im] = -bus.p_load, -bus.q_load
+            # Q_k = Im V_k conj(I_k): rows Re V_k and Im V_k hold (-B_k, -G_k) and (G_k, -B_k)
+            q = forms[im]
+            q[re, 0::2], q[re, 1::2], q[im, 0::2], q[im, 1::2] = -b[k], -g[k], g[k], -b[k]
+    forms = 0.5 * (forms + forms.transpose(0, 2, 1))
+    forms[np.abs(forms) < STRUCTURAL_ZERO] = 0.0
+    return PowerFlowProblem(case.n_bus, forms, rhs, row_kind, [a // 2 for a in range(dim)])
 
-    return PowerFlowProblem(n, forms, rhs, row_kind, row_bus)
+
+def _form_products(problem: PowerFlowProblem, u) -> tuple[np.ndarray, np.ndarray]:
+    """The state as a flat float vector and the stack of products O_a u, one per row."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.size != problem.dim:
+        raise ValueError(f"state has length {u.size}, expected {problem.dim}")
+    return u, (problem.forms * u).sum(axis=2)
 
 
 def residual(problem: PowerFlowProblem, u: np.ndarray) -> np.ndarray:
     """F_a(u) = u^T O_a u - f_a; the slack-angle row returns u[1]."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != problem.dim:
-        raise ValueError(f"state has length {u.size}, expected {problem.dim}")
-    out = np.empty(problem.dim)
-    for a, form in enumerate(problem.forms):
-        if form is None:
-            out[a] = u[1]
-        else:
-            out[a] = float(u @ (form @ u)) - problem.rhs[a]
+    u, ou = _form_products(problem, u)
+    out = (ou * u).sum(axis=1) - problem.rhs
+    out[1] = u[1]
     return out
 
 
 def jacobian(problem: PowerFlowProblem, u: np.ndarray) -> np.ndarray:
     """Dense J: row a is 2*(O_a u)^T; the slack-angle row is the constant unit row."""
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.size != problem.dim:
-        raise ValueError(f"state has length {u.size}, expected {problem.dim}")
-    rows = []
-    for form in problem.forms:
-        if form is None:
-            row = np.zeros(problem.dim)
-            row[1] = 1.0
-            rows.append(row)
-        else:
-            rows.append(2.0 * (form @ u))
-    return np.vstack(rows)
+    _, ou = _form_products(problem, u)
+    out = 2.0 * ou
+    out[1] = 0.0
+    out[1, 1] = 1.0
+    return out
 
 
 def sparsity(j: np.ndarray) -> int:

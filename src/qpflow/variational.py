@@ -327,11 +327,11 @@ def vqpf_from_power_flow(problem: PowerFlowProblem) -> VQPFProblem:
     rhs: list[float] = []
     ref = None
     for a, form in enumerate(problem.forms):
-        if form is None:
+        if problem.row_kind[a] is RowKind.THETA_SLACK:
             observables.append(_cross_term_row(full, 1))
         else:
             mat = np.zeros((full, full))
-            mat[:dim, :dim] = form.toarray()
+            mat[:dim, :dim] = form
             observables.append(mat)
         rhs.append(float(problem.rhs[a]))
         if problem.row_kind[a] is RowKind.VMAG_SLACK and ref is None:

@@ -47,6 +47,12 @@ BAD_INPUTS = {
     "config-downloader-misspelt": ("cfg.json", {"downloader": "shadow"}, ["solve", CASE3, "--config", "{}"]),
     "qram-n-data-zero": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "0"]),
     "qram-n-data-with-kappa-gamma": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "5"]),
+    "qram-nu-with-epsilon": (None, None, ["qram", "--epsilon", "1e-3", "--n-data", "4", "--nu", "5"]),
+    "qram-c-d-with-target-infidelity": (
+        None,
+        None,
+        ["qram", "--target-infidelity", "1e-4", "--n-data", "4", "--c-d", "99"],
+    ),
 }
 
 
@@ -312,3 +318,13 @@ class TestDiagnostics:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["infidelity"] == pytest.approx(0.25 * 1e-6 * 16)
+
+    def test_cli_import_leaves_scipy_out(self):
+        # numpy is the one run-time dependency; scipy serves the tests only
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, qpflow.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,7 +140,7 @@ class TestAdmittance:
 class TestQuadraticForms:
     def test_isolated_slack_magnitude_projector(self):
         problem = build_quadratic_forms(parse_case(make_case([SLACK], [])))
-        form = problem.forms[0].toarray()
+        form = problem.forms[0]
         assert np.allclose(form, np.eye(2))
         assert problem.row_kind == [RowKind.VMAG_SLACK, RowKind.THETA_SLACK]
 
@@ -156,7 +161,7 @@ class TestQuadraticForms:
             want = g * (u[2] ** 2 + u[3] ** 2) - g * (u[2] * u[0] + u[3] * u[1])
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_injections_match_complex_power_oracle(self, case3, problem3):
+    def test_injections_match_complex_power_oracle(self, case3, problem3, request):
         # independent check through complex arithmetic: S_k = V_k conj((Y V)_k)
         u, trace = newton_raphson(problem3)
         assert trace.converged
@@ -170,11 +175,33 @@ class TestQuadraticForms:
                 assert s[k].real == pytest.approx(-bus.p_load, abs=1e-8)
                 assert s[k].imag == pytest.approx(-bus.q_load, abs=1e-8)
 
+        # every row kind of the residual, at random states of every fixture
+        rng = np.random.default_rng(17)
+        for name in ("case3", "case5", "case14"):
+            case = request.getfixturevalue(name)
+            problem = request.getfixturevalue(f"problem{name[4:]}")
+            y = build_admittance(case)
+            for _ in range(5):
+                u = rng.normal(size=problem.dim)
+                v = u[0::2] + 1j * u[1::2]
+                s = v * np.conj(y @ v)
+                want = np.empty(problem.dim)
+                for a, (kind, k) in enumerate(zip(problem.row_kind, problem.row_bus)):
+                    if kind is RowKind.P_INJ:
+                        want[a] = s[k].real - problem.rhs[a]
+                    elif kind is RowKind.Q_INJ:
+                        want[a] = s[k].imag - problem.rhs[a]
+                    elif kind in (RowKind.VMAG, RowKind.VMAG_SLACK):
+                        want[a] = abs(v[k]) ** 2 - problem.rhs[a]
+                    else:
+                        assert kind is RowKind.THETA_SLACK and a == 1
+                        want[a] = u[1]
+                got = residual(problem, u)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
     def test_forms_symmetric_exactly(self, problem14):
-        for form in problem14.forms:
-            if form is None:
-                continue
-            assert (form != form.T).nnz == 0
+        forms = problem14.forms
+        assert np.array_equal(forms, forms.transpose(0, 2, 1))
 
     def test_injection_forms_row_count_bounded_by_degree(self, case14, problem14):
         # each M carries at most 2*(d_k + 1) nonzero rows: two coordinates
@@ -184,9 +211,9 @@ class TestQuadraticForms:
             degree[br.from_bus - 1] += 1
             degree[br.to_bus - 1] += 1
         for a, form in enumerate(problem14.forms):
-            if form is None or problem14.row_kind[a] not in (RowKind.P_INJ, RowKind.Q_INJ):
+            if problem14.row_kind[a] not in (RowKind.P_INJ, RowKind.Q_INJ):
                 continue
-            rows_with_entries = np.unique(form.tocoo().row).size
+            rows_with_entries = np.unique(np.nonzero(form)[0]).size
             assert rows_with_entries <= 2 * (degree[problem14.row_bus[a]] + 1)
 
     def test_row_support_bounded_by_degree(self, case14, problem14):
@@ -246,6 +273,35 @@ class TestResidualJacobian:
                 dn[col] -= h
                 fd[:, col] = (residual(problem, up) - residual(problem, dn)) / (2 * h)
             assert np.max(np.abs(j - fd)) / np.max(np.abs(j)) < 1e-6
+
+    def test_bytes_independent_of_blas_kernel(self):
+        # F and J are numpy reductions, not BLAS calls: forcing OpenBLAS onto
+        # its SSE3-only Prescott kernel must not move a bit (where OpenBLAS
+        # ignores the variable this compares the default kernel with itself)
+        script = (
+            "import hashlib, numpy as np\n"
+            "from qpflow.fixtures import FIXTURE_NAMES, case_bytes\n"
+            "from qpflow.grid import build_quadratic_forms, jacobian, parse_case, residual\n"
+            "h = hashlib.sha256()\n"
+            "rng = np.random.default_rng(3)\n"
+            "for name in FIXTURE_NAMES:\n"
+            "    problem = build_quadratic_forms(parse_case(case_bytes(name)))\n"
+            "    for _ in range(4):\n"
+            "        u = rng.normal(size=problem.dim)\n"
+            "        h.update(residual(problem, u).tobytes())\n"
+            "        h.update(jacobian(problem, u).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        with contextlib.redirect_stdout(io.StringIO()) as here:
+            exec(script, {})
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == here.getvalue()
 
     def test_single_bus_jacobian(self):
         problem = build_quadratic_forms(parse_case(make_case([SLACK], [])))
