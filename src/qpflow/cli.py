@@ -49,13 +49,18 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _load_config(args) -> dict:
+def _load_config(args, keys: tuple[str, ...]) -> dict:
+    """The ``--config`` file's object; a key outside ``keys``, the ones the subcommand reads, is an input error."""
     if getattr(args, "config", None) is None:
         return {}
     with open(args.config, "rb") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise CaseError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise CaseError(f"{args.command} reads no config key {names}; it reads {', '.join(keys)}")
     return cfg
 
 
@@ -121,7 +126,10 @@ def _trace_record(trace) -> dict:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(
+        args,
+        ("method", "max_iter", "tol", "downloader", "shots", "clock_bits", "trotter_m", "layers", "max_steps", "inner_tol"),
+    )
     seed = _resolve_seed(args)
     case = _read_case(args.case)
     problem = build_quadratic_forms(case)
@@ -148,21 +156,19 @@ def cmd_solve(args) -> int:
         metrics = {"clock_bits": hhl_cfg.clock_bits, "trotter_m": hhl_cfg.trotter_m}
     elif method == "vqls":
         opt = OptimizerConfig(
-            eta=_option(args, cfg, "eta", 1.0, float),
             max_steps=_option(args, cfg, "max_steps", 400, int),
             tol=_option(args, cfg, "inner_tol", 2e-4, float),
             seed=seed,
         )
         layers = _option(args, cfg, "layers", 4, int)
         u, trace = qpf_vqls(problem, newton_cfg, layers, opt, downloader)
-        metrics = {"layers": layers, "eta": opt.eta}
+        metrics = {"layers": layers}
         if args.loss_curve:
             # the single-instance loss trajectory: the first inner solve
             with open(args.loss_curve, "wb") as fh:
                 fh.write(trace.extras["inner_records"][0].loss_csv())
     elif method == "vqpf":
         opt = OptimizerConfig(
-            eta=_option(args, cfg, "eta", 0.01, float),
             max_steps=_option(args, cfg, "max_steps", 5000, int),
             tol=_option(args, cfg, "inner_tol", 1e-12, float),
             seed=seed,
@@ -205,7 +211,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lcu(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("drop_tol", "count"))
     seed = _resolve_seed(args)
     drop_tol = _option(args, cfg, "drop_tol", 1e-12, float)
 
@@ -250,7 +256,7 @@ def cmd_lcu(args) -> int:
 
 
 def cmd_resources(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, ("n", "l", "trotter_m"))
     if args.sweep:
         with open(args.sweep) as fh:
             grid = json.load(fh)
@@ -343,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--clock-bits", dest="clock_bits", type=int)
     solve.add_argument("--trotter-m", dest="trotter_m", type=int)
     solve.add_argument("--layers", type=int)
-    solve.add_argument("--eta", type=float)
     solve.add_argument("--max-steps", dest="max_steps", type=int)
     solve.add_argument("--downloader", choices=("exact", "shadows"))
     solve.add_argument("--shots", type=int)

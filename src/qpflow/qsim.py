@@ -211,8 +211,9 @@ def _block_unitaries(ham, n_sys: int, clock_bits: int, t0: float, trotter_m: int
     """Controlled-evolution unitary for each clock bit significance 2**j.
 
     Block j realizes the evolution over time 2**j * t0.  Its step count is
-    scaled as trotter_m * 4**j so the splitting error per block stays level
-    while the gate tally keeps the nominal trotter_m steps per repetition.
+    scaled as trotter_m * 4**j so the splitting error per block stays level;
+    the gate tally (``PhaseEstimation._count_block``) counts those same
+    trotter_m * 4**j steps.
     """
     dim = 1 << n_sys
     blocks = []

@@ -9,6 +9,9 @@ vector in this package is real.
 Each loss is a smooth function of a few quadratic expectations
 E(theta) = <0|U(theta)^T H U(theta)|0>, so exact gradients come from the
 parameter-shift rule applied to the expectations plus the chain rule.
+VQLS and VQPF both minimise their loss with one optimizer, L-BFGS with an
+Armijo backtracking line search (``_descend``), so neither takes a
+step-size setting.
 """
 
 from __future__ import annotations
@@ -63,14 +66,13 @@ class Ansatz:
 
 @dataclass
 class OptimizerConfig:
-    eta: float = 0.1
+    """L-BFGS settings: stop once the loss is below ``tol`` or after ``max_steps`` iterations."""
+
     max_steps: int = 500
     tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("learning rate must be positive")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -242,25 +244,77 @@ class VariationalRecord:
         return ("\n".join(lines) + "\n").encode()
 
 
+LBFGS_MEMORY = 10  # (s, y) pairs kept by the two-loop recursion
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the backtracking line search
+MIN_STEP = 1e-10  # the line search gives up below this step length
+
+
+def _lbfgs_direction(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """-H g by the two-loop recursion over the kept pairs, oldest first; H_0 = (s.y / y.y) I."""
+    d = -g
+    alphas = []
+    for s, y in reversed(pairs):
+        alpha = (s @ d) / (y @ s)
+        d = d - alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y = pairs[-1]
+        d = d * ((s @ y) / (y @ y))
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        d = d + (alpha - (y @ d) / (y @ s)) * s
+    return d
+
+
 def _descend(loss: ExpectationLoss, a0: Ansatz, opt: OptimizerConfig) -> tuple[Ansatz, VariationalRecord]:
+    """L-BFGS (Liu & Nocedal, Math. Prog. 45, 1989) over the parameter-shift gradient.
+
+    Each iteration takes one gradient, at its top, so a solve that meets
+    ``tol`` pays for none at its last point.  The step comes from Armijo
+    backtracking that halves from t = 1; a pair is kept only when
+    y.s > 1e-12, and a direction that does not descend is replaced by
+    steepest descent with the memory cleared.  The loss never rises, so
+    the last iterate is the best one.  A line search that finds no
+    decrease above ``MIN_STEP`` ends the solve.
+    """
     rec = VariationalRecord()
-    a = a0
-    value = loss.value(a)
+    theta = a0.theta
+    value = loss.value(a0)
+    pairs: list[tuple[np.ndarray, np.ndarray]] = []
+    last = None  # (theta, gradient) of the previous iterate
     for _ in range(opt.max_steps):
         if not np.isfinite(value):
             raise FloatingPointError("loss became non-finite")
         if value < opt.tol:
             break
-        g = gradient(loss, a)
+        g = gradient(loss, a0.with_theta(theta))
+        if last is not None:
+            s, y = theta - last[0], g - last[1]
+            if y @ s > 1e-12:
+                pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
+        last = theta, g
+        d = _lbfgs_direction(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0:
+            pairs, d, slope = [], -g, -float(g @ g)
+            if not slope < 0:
+                break  # a stationary point
+        t = 1.0
+        trial = loss.value(a0.with_theta(theta + d))
+        while not trial <= value + ARMIJO_C1 * t * slope:  # a NaN trial backtracks too
+            t /= 2
+            if t < MIN_STEP:
+                break
+            trial = loss.value(a0.with_theta(theta + t * d))
+        if t < MIN_STEP:
+            break
         rec.loss_curve.append(float(value))
         rec.grad_norms.append(float(np.linalg.norm(g)))
-        a = a.with_theta(a.theta - opt.eta * g)
-        value = loss.value(a)
+        theta, value = theta + t * d, trial
     rec.loss_curve.append(float(value))
     rec.grad_norms.append(rec.grad_norms[-1] if rec.grad_norms else 0.0)
     rec.steps = len(rec.loss_curve) - 1
     rec.converged = bool(value < opt.tol)
-    return a, rec
+    return a0.with_theta(theta), rec
 
 
 def vqls_solve(
@@ -269,7 +323,7 @@ def vqls_solve(
     a0: Ansatz,
     opt: OptimizerConfig | None = None,
 ) -> tuple[Ansatz, VariationalRecord]:
-    """Gradient descent on the local VQLS loss for A x = b.
+    """L-BFGS on the local VQLS loss for A x = b.
 
     Returns the optimized ansatz and a record holding the loss curve, the
     final solution state, and its recovered physical scale.
@@ -317,8 +371,8 @@ def vqpf_from_power_flow(problem: PowerFlowProblem) -> VQPFProblem:
     coordinates) are encoded as cross terms u_1 * u_k = 0 rather than
     squared projectors u_k^2 = 0: both vanish exactly at solutions (the
     slack real part is pinned away from zero by the magnitude row), but
-    the projector form is quartically flat around them and stalls plain
-    gradient descent.  The reference row is the slack magnitude row.
+    the projector form is quartically flat around them and stalls a
+    gradient-based optimizer.  The reference row is the slack magnitude row.
     """
     dim = problem.dim
     n = max(1, int(np.ceil(np.log2(dim))))
@@ -382,7 +436,7 @@ def vqpf_solve(
     a0: Ansatz,
     opt: OptimizerConfig | None = None,
 ) -> tuple[Ansatz, np.ndarray, float, VariationalRecord]:
-    """Gradient descent on the ratio loss, then recover the physical scale.
+    """L-BFGS on the ratio loss, then recover the physical scale.
 
     The normalization c (with <O_a> * c ~ f_a) comes from a least-squares
     fit over all rows; the returned voltage vector is the live block of
@@ -417,15 +471,13 @@ def qpf_vqls(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Newton power flow with VQLS as the inner linear solver.
 
-    The ansatz parameters warm-start from the previous outer iteration,
-    with one cold restart whenever the warm run stalls above the retry
-    floor.  Inner loss curves land in the trace extras.
+    The ansatz parameters warm-start from the previous outer iteration.
+    Inner loss curves land in the trace extras.
     """
     opt = opt or OptimizerConfig()
     state = {"theta": None}
     inner_curves: list[list[float]] = []
     inner_records: list[VariationalRecord] = []
-    retry_floor = max(100.0 * opt.tol, 1e-3)
 
     def inner(a_tilde, b_tilde, iteration):
         n = int(a_tilde.shape[0]).bit_length() - 1
@@ -434,13 +486,6 @@ def qpf_vqls(
         else:
             a0 = Ansatz(n, layers, state["theta"])
         ansatz, rec = vqls_solve(a_tilde, b_tilde, a0, opt)
-        if warm_start and state["theta"] is not None and rec.loss_curve[-1] > retry_floor:
-            # warm parameters can sit in a bad basin of the new loss; one
-            # cold restart bounds the damage
-            retry0 = Ansatz.random(n, layers, seed=opt.seed + iteration)
-            retry_ansatz, retry_rec = vqls_solve(a_tilde, b_tilde, retry0, opt)
-            if retry_rec.loss_curve[-1] < rec.loss_curve[-1]:
-                ansatz, rec = retry_ansatz, retry_rec
         state["theta"] = ansatz.theta.copy()
         inner_curves.append(rec.loss_curve)
         inner_records.append(rec)

@@ -190,7 +190,7 @@ def test_criterion_07_vqls():
     # identity-A instance converges below 1e-6
     rng = np.random.default_rng(3)
     b = rng.normal(size=8)
-    _, rec = vqls_solve(np.eye(8), b, Ansatz.random(3, 2, seed=1), OptimizerConfig(eta=1.0, max_steps=200))
+    _, rec = vqls_solve(np.eye(8), b, Ansatz.random(3, 2, seed=1), OptimizerConfig(max_steps=200))
     assert rec.loss_curve[-1] < 1e-6
     # 6-qubit truncated power-flow instance: 3 LCU terms, 1 layer, 500 steps.
     # The bound applies to the final loss, which is itself an infidelity
@@ -204,7 +204,7 @@ def test_criterion_07_vqls():
     a3 = reconstruct(truncate(pauli_decompose(mats[12]), 3)).real
     b6 = rhss[12]
     _, rec6 = vqls_solve(
-        a3, b6, Ansatz.random(6, 1, seed=0, scale=0.5), OptimizerConfig(eta=2.0, max_steps=500, tol=1e-10)
+        a3, b6, Ansatz.random(6, 1, seed=0, scale=0.5), OptimizerConfig(max_steps=500, tol=1e-10)
     )
     assert rec6.loss_curve[-1] <= 0.10
     elapsed = time.time() - start
@@ -228,7 +228,7 @@ def test_criterion_08_vqpf():
     assert loss.value_from(e) < 1e-24
     # the 2-bus toy solves to 1e-3 against the classical solution
     a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-    _, u_v, _, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+    _, u_v, _, _ = vqpf_solve(vp, a0, OptimizerConfig(max_steps=3000, tol=1e-16))
     assert np.max(np.abs(u_v - u_star)) < 1e-3
     elapsed = time.time() - start
     assert elapsed < 60.0, f"runtime {elapsed:.2f}s exceeds 1min"

@@ -9,6 +9,8 @@ import pytest
 
 from qpflow.cli import main
 from qpflow.fixtures import FIXTURE_NAMES, load_fixture
+from qpflow.grid import flat_start, jacobian, residual
+from qpflow.newton import lu_solve
 
 CASE3 = str(resources.files("qpflow.cases").joinpath("case3.json"))
 CASE14 = str(resources.files("qpflow.cases").joinpath("case14.json"))
@@ -45,6 +47,9 @@ BAD_INPUTS = {
     "unknown-flag": (None, None, ["solve", CASE3, "--bogus"]),
     "max-iter-not-int": (None, None, ["solve", CASE3, "--max-iter", "x"]),
     "config-downloader-misspelt": ("cfg.json", {"downloader": "shadow"}, ["solve", CASE3, "--config", "{}"]),
+    "config-unknown-key": ("cfg.json", {"max_itr": 1}, ["solve", CASE3, "--config", "{}"]),
+    "config-seed-key": ("cfg.json", {"seed": 5}, ["solve", CASE3, "--config", "{}"]),
+    "eta-flag-removed": (None, None, ["solve", CASE3, "--method", "vqls", "--eta", "1.0"]),
     "qram-n-data-zero": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "0"]),
     "qram-n-data-with-kappa-gamma": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "5"]),
     "qram-nu-with-epsilon": (None, None, ["qram", "--epsilon", "1e-3", "--n-data", "4", "--nu", "5"]),
@@ -161,6 +166,25 @@ class TestSolve:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_unknown_config_keys_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "max_itr": 1, "eta": -3, "tol": 1e-6}))
+        assert run_cli(["solve", CASE3, "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve reads no config key 'eta', 'max_itr', 'seed';")
+
+    @pytest.mark.parametrize("seed", [2012, 185, 7149])
+    def test_vqls_cold_step_follows_lu_step(self, seed, problem3, tmp_path):
+        # one cold inner solve capped at 150 steps, as in the vqls_case3 benchmark op;
+        # a fixed-step descent stalled at these CLI seeds (cosines 0.24, 0.45, 0.43)
+        out = tmp_path / "vqls.json"
+        args = ["solve", CASE3, "--method", "vqls", "--max-iter", "1", "--max-steps", "150", "--seed", str(seed)]
+        assert run_cli(args + ["--out", str(out)]) == 2
+        u0 = flat_start(problem3.n_bus)
+        ref = lu_solve(jacobian(problem3, u0), -residual(problem3, u0))
+        step = np.array(json.loads(out.read_text())["solution"]) - u0
+        assert step @ ref / (np.linalg.norm(step) * np.linalg.norm(ref)) >= 0.95
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

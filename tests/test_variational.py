@@ -174,7 +174,7 @@ class TestVqlsSolve:
         rng = np.random.default_rng(3)
         b = rng.normal(size=1 << n)
         a0 = Ansatz.random(n, 2, seed=1)
-        ansatz, rec = vqls_solve(np.eye(1 << n), b, a0, OptimizerConfig(eta=1.0, max_steps=200))
+        ansatz, rec = vqls_solve(np.eye(1 << n), b, a0, OptimizerConfig(max_steps=200))
         assert rec.converged
         assert rec.loss_curve[-1] < 1e-6
         b_unit = b / np.linalg.norm(b)
@@ -185,7 +185,7 @@ class TestVqlsSolve:
         a_mat = random_system(rng, 2) + 4 * np.eye(4)
         b = rng.normal(size=4)
         a0 = Ansatz.random(2, 2, seed=2)
-        _, rec = vqls_solve(a_mat, b, a0, OptimizerConfig(eta=0.2, max_steps=100, tol=1e-12))
+        _, rec = vqls_solve(a_mat, b, a0, OptimizerConfig(max_steps=100, tol=1e-12))
         assert rec.loss_curve[-1] <= rec.loss_curve[0]
 
     def test_low_loss_implies_high_fidelity(self):
@@ -195,7 +195,7 @@ class TestVqlsSolve:
             a_mat = random_system(rng, 2) + 5 * np.eye(4)
             b = rng.normal(size=4)
             a0 = Ansatz.random(2, 3, seed=seed)
-            _, rec = vqls_solve(a_mat, b, a0, OptimizerConfig(eta=1.0, max_steps=600, tol=1e-7))
+            _, rec = vqls_solve(a_mat, b, a0, OptimizerConfig(max_steps=600, tol=1e-7))
             if rec.loss_curve[-1] < 1e-3:
                 hits += 1
                 x = np.linalg.solve(a_mat, b)
@@ -209,8 +209,8 @@ class TestVqlsSolve:
         dec = pauli_decompose(a_mat)
         b = np.array([1.0, -0.4])
         a0 = Ansatz.random(1, 1, seed=0)
-        _, rec_lcu = vqls_solve(dec, b, a0, OptimizerConfig(eta=0.5, max_steps=300))
-        _, rec_dense = vqls_solve(a_mat, b, a0, OptimizerConfig(eta=0.5, max_steps=300))
+        _, rec_lcu = vqls_solve(dec, b, a0, OptimizerConfig(max_steps=300))
+        _, rec_dense = vqls_solve(a_mat, b, a0, OptimizerConfig(max_steps=300))
         assert rec_lcu.loss_curve[-1] < 1e-5
         assert rec_lcu.loss_curve == rec_dense.loss_curve
 
@@ -220,7 +220,7 @@ class TestVqlsSolve:
         x_true = rng.normal(size=4)
         b = a_mat @ x_true
         a0 = Ansatz.random(2, 3, seed=1)
-        _, rec = vqls_solve(a_mat, b, a0, OptimizerConfig(eta=1.0, max_steps=800, tol=1e-10))
+        _, rec = vqls_solve(a_mat, b, a0, OptimizerConfig(max_steps=800, tol=1e-10))
         if rec.loss_curve[-1] < 1e-6:
             assert rec.scale * rec.x_state == pytest.approx(x_true, abs=2e-2)
 
@@ -240,8 +240,9 @@ class TestQpfVqls:
             problem3,
             NewtonConfig(k_max=8, eps0=1e-5),
             layers=4,
-            opt=OptimizerConfig(eta=1.0, max_steps=400, tol=2e-4, seed=0),
+            opt=OptimizerConfig(max_steps=400, tol=2e-4, seed=0),
         )
+        assert trace.converged
         assert np.max(np.abs(u_v - u_star)) < 1e-2
         assert trace.extras["inner_loss_curves"]
 
@@ -250,7 +251,7 @@ class TestQpfVqls:
             problem3,
             NewtonConfig(k_max=1),
             layers=4,
-            opt=OptimizerConfig(eta=1.0, max_steps=2, tol=2e-4, seed=0),
+            opt=OptimizerConfig(max_steps=2, tol=2e-4, seed=0),
         )
         assert trace.extras["inner_converged"] == [False]
         assert trace.extras["inner_steps"] == [2]
@@ -259,7 +260,7 @@ class TestQpfVqls:
         kwargs = dict(
             cfg_newton=NewtonConfig(k_max=8, eps0=1e-5),
             layers=4,
-            opt=OptimizerConfig(eta=1.0, max_steps=400, tol=2e-4, seed=0),
+            opt=OptimizerConfig(max_steps=400, tol=2e-4, seed=0),
         )
         _, warm = qpf_vqls(problem3, warm_start=True, **kwargs)
         _, cold = qpf_vqls(problem3, warm_start=False, **kwargs)
@@ -315,7 +316,7 @@ class TestVqpf:
         problem, u_star = two_bus
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-        _, u_v, c, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+        _, u_v, c, _ = vqpf_solve(vp, a0, OptimizerConfig(max_steps=3000, tol=1e-16))
         assert np.max(np.abs(u_v - u_star)) < 1e-3
         assert c == pytest.approx(float(u_star @ u_star), rel=1e-3)
 
@@ -323,7 +324,7 @@ class TestVqpf:
         problem, u_star = two_bus
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-        ans, u_v, c, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+        ans, u_v, c, _ = vqpf_solve(vp, a0, OptimizerConfig(max_steps=3000, tol=1e-16))
         psi = ansatz_amplitudes(ans)
         for obs, f in zip(vp.observables, vp.rhs):
             got = float(psi @ (obs @ psi)) * c
@@ -333,9 +334,9 @@ class TestVqpf:
         problem, u_star = two_bus
         vp = vqpf_from_power_flow(problem)
         a0 = Ansatz.flat_start(vp.n, 2, seed=0)
-        ans, _, _, _ = vqpf_solve(vp, a0, OptimizerConfig(eta=0.01, max_steps=3000, tol=1e-16))
+        ans, _, _, _ = vqpf_solve(vp, a0, OptimizerConfig(max_steps=3000, tol=1e-16))
         loss = VqpfLoss(vp)
-        restart = OptimizerConfig(eta=0.01, max_steps=100, tol=1e-10)
+        restart = OptimizerConfig(max_steps=100, tol=1e-10)
         _, rec2 = __import__("qpflow.variational", fromlist=["_descend"])._descend(loss, ans, restart)
         assert rec2.steps == 0
 
