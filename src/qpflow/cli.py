@@ -286,6 +286,8 @@ def cmd_qram(args) -> int:
         raise CaseError("pass exactly one of --epsilon, --target-infidelity, --kappa-gamma")
     if args.n_data is not None and args.n_data < 2:
         raise CaseError(f"--n-data must be >= 2, got {args.n_data}")
+    if args.n_data is not None and args.n_data > sys.float_info.max:
+        raise CaseError(f"--n-data must be at most {sys.float_info.max:.6g}, the largest float")
     hardware = {key: value for key in ("g_d", "nu", "c_d") if (value := getattr(args, key)) is not None}
     if hardware and args.kappa_gamma is None:
         flags = ", ".join("--" + key.replace("_", "-") for key in hardware)

@@ -114,6 +114,16 @@ def _finite(entry: dict, key: str, where: str, default: float | None = None) -> 
     raise CaseError(f"{where} needs a finite {key}, got {value!r}")
 
 
+def _v_set(entry: dict, where: str) -> float:
+    """A slack or PV bus's voltage set point: positive, with a finite square (the rhs of its row)."""
+    v_set = _finite(entry, "v_set", where)
+    if v_set <= 0:
+        raise CaseError(f"{where} needs v_set > 0")
+    if v_set * v_set == float("inf"):
+        raise CaseError(f"{where} needs v_set**2 within the float range, got {v_set!r}")
+    return v_set
+
+
 def parse_case(data: bytes | str) -> GridCase:
     """Parse a case file (JSON) into a validated, reordered GridCase."""
     try:
@@ -144,17 +154,12 @@ def parse_case(data: bytes | str) -> GridCase:
             raise CaseError(f"bus {bid}: unknown kind {kind_raw!r}") from None
         where = f"{kind.value} bus {bid}"
         if kind is BusKind.SLACK:
-            v_set = _finite(entry, "v_set", where)
-            if v_set <= 0:
-                raise CaseError(f"{where} needs v_set > 0")
+            v_set = _v_set(entry, where)
             if entry.get("theta_set", 0.0) != 0.0:
                 raise CaseError(f"{where}: nonzero theta_set is not supported")
             buses.append(Bus(bid, kind, v_set=v_set, theta_set=0.0))
         elif kind is BusKind.PV:
-            v_set = _finite(entry, "v_set", where)
-            if v_set <= 0:
-                raise CaseError(f"{where} needs v_set > 0")
-            buses.append(Bus(bid, kind, v_set=v_set, p_gen=_finite(entry, "p_gen", where)))
+            buses.append(Bus(bid, kind, v_set=_v_set(entry, where), p_gen=_finite(entry, "p_gen", where)))
         else:
             p_load, q_load = _finite(entry, "p_load", where), _finite(entry, "q_load", where)
             buses.append(Bus(bid, kind, p_load=p_load, q_load=q_load))

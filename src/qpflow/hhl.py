@@ -225,9 +225,11 @@ def quantum_step(inner_solve, downloader="exact"):
     Hermitian dilation and returns (unit_direction, extras dict).  The
     direction is downloaded, rescaled through recover_normalization, and
     compared against the classical LU direction; the cosine joins the
-    extras.  Unlike lu_step, this step does not pin the slack coordinate
-    u[1]: it carries the inner solve's error, which then shows in the
-    slack-angle residual row.
+    extras, and so does the forcing term ||J dU + F||_2 / ||F||_2 of
+    inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+    1982), which is recorded, not enforced.  Unlike lu_step, this step
+    does not pin the slack coordinate u[1]: it carries the inner solve's
+    error, which then shows in the slack-angle residual row.
     """
 
     def step(j, f, iteration):
@@ -241,7 +243,10 @@ def quantum_step(inner_solve, downloader="exact"):
         du_classical = lu_solve(j, -f)
         denom = np.linalg.norm(du) * np.linalg.norm(du_classical)
         cosine = float(np.dot(du, du_classical) / denom) if denom > 0 else 0.0
-        return du, {"direction_cosine": cosine, **extras}
+        # numpy reductions, as in grid.jacobian, so no BLAS kernel touches its bits
+        r = (j * du).sum(axis=1) + f
+        forcing = float(np.sqrt(np.sum(r * r) / np.sum(f * f)))
+        return du, {"direction_cosine": cosine, "forcing_term": forcing, **extras}
 
     return step
 

@@ -109,7 +109,7 @@ def qram_infidelity(epsilon: float, n_data: int) -> float:
         raise ValueError("epsilon must be non-negative")
     if n_data < 2:
         raise ValueError("data size must be >= 2")
-    return 0.25 * epsilon * float(np.log2(n_data)) ** 2
+    return 0.25 * epsilon * float(np.log2(float(n_data))) ** 2
 
 
 def qram_epsilon_for_infidelity(target_infidelity: float, n_data: int) -> float:
@@ -118,7 +118,7 @@ def qram_epsilon_for_infidelity(target_infidelity: float, n_data: int) -> float:
         raise ValueError("target infidelity must be positive")
     if n_data < 2:
         raise ValueError("data size must be >= 2")
-    return 4.0 * target_infidelity / float(np.log2(n_data)) ** 2
+    return 4.0 * target_infidelity / float(np.log2(float(n_data))) ** 2
 
 
 def qram_epsilon_hardware(b: QramBudget) -> float:

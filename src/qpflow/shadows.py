@@ -107,9 +107,12 @@ def reconstruct_real_state(snapshots: ShadowSnapshots) -> np.ndarray:
     Diagonal weights come from projector estimates; indices whose estimate
     sits below a 3-sigma statistical floor are zeroed (sparsity assumption).
     Relative signs come from off-diagonal real parts along a star anchored
-    at the heaviest support index.  The output is unit-normalized with the
-    anchor sign fixed positive.  Raises SolverError when the snapshots are
-    too few to fix the support, a relative sign or a nonzero vector.
+    at the heaviest support index.  An index whose edge estimate is exactly
+    0.0 has no sign to read (no snapshot matches the edge, or the dyadic
+    terms of those that do cancel exactly); it leaves the support with
+    weight 0.  The output is unit-normalized with the anchor sign fixed
+    positive.  Raises SolverError when the snapshots are too few to fix
+    the support.
     """
     if not snapshots:
         raise ValueError("empty snapshot set")
@@ -137,11 +140,9 @@ def reconstruct_real_state(snapshots: ShadowSnapshots) -> np.ndarray:
         # 2*Re<anchor|rho|idx> estimates 2*psi_anchor*psi_idx for real states
         edge = 2.0 * _ketbra_mean(bases, outcomes, n, anchor, int(idx)).real
         if edge == 0.0:
-            raise SolverError(f"sign edge {anchor}-{idx} has no matching snapshots")
+            weights[idx] = 0.0  # a sign tie
+            continue
         signs[idx] = 1.0 if edge > 0 else -1.0
 
     vec = signs * np.sqrt(weights)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise SolverError("reconstructed vector is zero")
-    return vec / norm
+    return vec / np.linalg.norm(vec)

@@ -4,7 +4,10 @@ variational power-flow formulation (VQPF).
 The ansatz is hardware-efficient and real: an initial layer of per-qubit
 Y-rotations followed by ``layers`` repetitions of a ring-CZ entangler plus
 another Y-rotation layer.  Real amplitudes suffice because every target
-vector in this package is real.
+vector in this package is real.  The ansatz is simulated on its 2**n real
+amplitudes with index tables cached per qubit count (``_ansatz_tables``):
+each Y-rotation is one gather-and-add butterfly over a partner-index table
+and a +-1 sign table, and each CZ ring one product with a +-1 diagonal.
 
 Each loss is a smooth function of a few quadratic expectations
 E(theta) = <0|U(theta)^T H U(theta)|0>, so exact gradients come from the
@@ -16,6 +19,7 @@ step-size setting.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,39 +81,47 @@ class OptimizerConfig:
             raise ValueError("tolerance must be positive")
 
 
-def _ry_layer(amps: np.ndarray, n: int, angles: np.ndarray) -> np.ndarray:
-    for q in range(n):
-        half = angles[q] / 2.0
-        c, s = np.cos(half), np.sin(half)
-        shaped = amps.reshape(1 << q, 2, -1)
-        a0 = shaped[:, 0, :].copy()
-        a1 = shaped[:, 1, :].copy()
-        shaped[:, 0, :] = c * a0 - s * a1
-        shaped[:, 1, :] = s * a0 + c * a1
-    return amps
+@functools.cache
+def _ansatz_tables(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], np.ndarray]:
+    """Index tables of the n-qubit ansatz, built once per qubit count.
 
-
-def _cz_ring(amps: np.ndarray, n: int) -> np.ndarray:
-    if n < 2:
-        return amps
-    idx = np.arange(amps.size)
-    pairs = [(q, (q + 1) % n) for q in range(n)] if n > 2 else [(0, 1)]
+    ``partners[q]`` maps each basis index to the one with qubit q flipped
+    (qubit 0 is the most significant bit), ``signs[q]`` is -1 where qubit q
+    reads 0 and +1 where it reads 1, and ``ring`` is the whole CZ ring as
+    one +-1 diagonal (empty ring for n = 1, a single pair for n = 2).
+    """
+    idx = np.arange(1 << n)
+    bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+    partners = tuple(idx ^ (1 << (n - 1 - q)) for q in range(n))
+    signs = tuple(2.0 * b - 1.0 for b in bits)
+    pairs = [(q, (q + 1) % n) for q in range(n)] if n > 2 else [(0, 1)] if n == 2 else []
+    ring = np.ones(1 << n)
     for q1, q2 in pairs:
-        b1 = (idx >> (n - 1 - q1)) & 1
-        b2 = (idx >> (n - 1 - q2)) & 1
-        amps[(b1 & b2) == 1] *= -1.0
-    return amps
+        ring[(bits[q1] & bits[q2]) == 1] *= -1.0
+    for table in (*partners, *signs, ring):
+        table.setflags(write=False)
+    return partners, signs, ring
 
 
 def ansatz_amplitudes(a: Ansatz) -> np.ndarray:
-    """Real amplitude vector U(theta)|0...0>."""
+    """Real amplitude vector U(theta)|0...0>.
+
+    The Y-rotation of qubit q by theta maps the pair (a0, a1) of amplitudes
+    that differ in that qubit to (c a0 - s a1, s a0 + c a1), c = cos(theta/2)
+    and s = sin(theta/2): over the whole vector that is one butterfly,
+    c * amps + (s * signs[q]) * amps[partners[q]].  Products with +-1 are
+    exact and addition commutes, so every amplitude carries the bits of
+    the pairwise update.
+    """
+    partners, signs, ring = _ansatz_tables(a.n)
     amps = np.zeros(1 << a.n)
     amps[0] = 1.0
-    angles = a.theta.reshape(a.layers + 1, a.n)
-    amps = _ry_layer(amps, a.n, angles[0])
-    for layer in range(1, a.layers + 1):
-        amps = _cz_ring(amps, a.n)
-        amps = _ry_layer(amps, a.n, angles[layer])
+    for layer, angles in enumerate(a.theta.reshape(a.layers + 1, a.n)):
+        if layer:
+            amps = amps * ring
+        for q in range(a.n):
+            half = angles[q] / 2.0
+            amps = np.cos(half) * amps + (np.sin(half) * signs[q]) * amps[partners[q]]
     return amps
 
 

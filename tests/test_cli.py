@@ -28,6 +28,8 @@ BAD_CASE_FIELDS = {
     "from-list": lambda c: c["branches"][0].update({"from": [1]}),
     "buses-of-ints": lambda c: c.update(buses=[1]),
     "buses-object": lambda c: c.update(buses={"a": 1}),
+    "slack-v_set-square-overflows": lambda c: c["buses"][0].update(v_set=1e300),
+    "pv-v_set-square-overflows": lambda c: c["buses"][1].update(v_set=1e300),
 }
 
 # CLI inputs that once ended in an uncaught exception or a silent success;
@@ -51,6 +53,8 @@ BAD_INPUTS = {
     "config-seed-key": ("cfg.json", {"seed": 5}, ["solve", CASE3, "--config", "{}"]),
     "eta-flag-removed": (None, None, ["solve", CASE3, "--method", "vqls", "--eta", "1.0"]),
     "qram-n-data-zero": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "0"]),
+    "qram-n-data-beyond-float": (None, None, ["qram", "--epsilon", "1e-3", "--n-data", str(10**400)]),
+    "qram-n-data-beyond-float-target": (None, None, ["qram", "--target-infidelity", "1e-4", "--n-data", str(10**400)]),
     "qram-n-data-with-kappa-gamma": (None, None, ["qram", "--kappa-gamma", "1", "--n-data", "5"]),
     "qram-nu-with-epsilon": (None, None, ["qram", "--epsilon", "1e-3", "--n-data", "4", "--nu", "5"]),
     "qram-c-d-with-target-infidelity": (
@@ -185,6 +189,20 @@ class TestSolve:
         ref = lu_solve(jacobian(problem3, u0), -residual(problem3, u0))
         step = np.array(json.loads(out.read_text())["solution"]) - u0
         assert step @ ref / (np.linalg.norm(step) * np.linalg.norm(ref)) >= 0.95
+
+    def test_shadow_sign_tie_step_follows_lu_step(self, problem3, tmp_path):
+        # at this seed one sign edge's dyadic estimates cancel to exactly 0.0;
+        # that index leaves the support instead of failing the whole step
+        out = tmp_path / "shadows.json"
+        args = ["solve", CASE3, "--method", "hhl", "--downloader", "shadows", "--shots", "20000"]
+        assert run_cli(args + ["--max-iter", "1", "--seed", "2249", "--out", str(out)]) == 2
+        payload = json.loads(out.read_text())
+        u0 = flat_start(problem3.n_bus)
+        ref = lu_solve(jacobian(problem3, u0), -residual(problem3, u0))
+        step = np.array(payload["solution"]) - u0
+        assert step @ ref / (np.linalg.norm(step) * np.linalg.norm(ref)) >= 0.9
+        assert np.max(np.abs(step - ref)) <= 0.4 * np.max(np.abs(ref))
+        assert len(payload["trace"]["forcing_term"]) == 1
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

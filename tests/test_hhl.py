@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qpflow.grid import SolverError
-from qpflow.hhl import HHLConfig, ShadowReadout, hhl_solve, qpf_hhl, recover_normalization
+from qpflow.grid import SolverError, flat_start, residual
+from qpflow.hhl import HHLConfig, ShadowReadout, hhl_solve, qpf_hhl, quantum_step, recover_normalization
 from qpflow.newton import NewtonConfig, newton_raphson
 
 
@@ -177,6 +177,29 @@ class TestQpfHhl:
         assert trace.converged
         assert np.max(np.abs(u_q - u_classical)) < 1e-4
         assert min(trace.extras["direction_cosine"]) >= 0.999
+
+    def test_forcing_term_recorded_per_iteration(self, problem3):
+        _, trace = qpf_hhl(problem3, NewtonConfig(k_max=3), HHLConfig(clock_bits=6))
+        eta = trace.extras["forcing_term"]
+        assert len(eta) == trace.iterations == 3
+        assert np.all(np.isfinite(eta))
+
+    def test_forcing_term_is_relative_linear_residual(self, problem3):
+        # eta = ||J dU + F|| / ||F|| of the step actually taken
+        u0 = flat_start(problem3.n_bus)
+        u1, trace = qpf_hhl(problem3, NewtonConfig(k_max=1), HHLConfig(clock_bits=6))
+        f0 = residual(problem3, u0)
+        want = np.linalg.norm(trace.jacobians[0] @ (u1 - u0) + f0) / np.linalg.norm(f0)
+        assert trace.extras["forcing_term"][0] == pytest.approx(want, rel=1e-9)
+
+    def test_forcing_term_vanishes_for_exact_inner_solve(self, problem3):
+        def exact(a_tilde, b_tilde, iteration):
+            x = np.linalg.solve(a_tilde, b_tilde)
+            return x / np.linalg.norm(x), {}
+
+        _, trace = newton_raphson(problem3, NewtonConfig(k_max=2), quantum_step(exact))
+        assert len(trace.extras["forcing_term"]) == 2
+        assert max(trace.extras["forcing_term"]) < 1e-10
 
     def test_low_clock_bits_degraded_but_terminates(self, problem3):
         u_q, trace = qpf_hhl(

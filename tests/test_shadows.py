@@ -4,7 +4,7 @@ import pytest
 from qpflow._kernels import pauli_estimates
 from qpflow.grid import SolverError
 from qpflow.qsim import PauliString, StateVector
-from qpflow.shadows import collect_shadows, estimate_pauli, reconstruct_real_state
+from qpflow.shadows import ShadowSnapshots, collect_shadows, estimate_pauli, reconstruct_real_state
 
 
 def plus_state():
@@ -142,3 +142,11 @@ class TestReconstruct:
         snaps = collect_shadows(StateVector.zero(1), 10, seed=0)
         with pytest.raises(ValueError):
             reconstruct_real_state(snaps[:0])
+
+    def test_sign_tie_leaves_support(self):
+        # Z snapshots put weight on both indices; the X snapshots' +-1.5 edge
+        # terms cancel to exactly 0.0, so index 1 has no sign and drops out
+        bases = np.array([2] * 200 + [0] * 200, dtype=np.uint8)[:, None]
+        outcomes = np.array([0, 1] * 200, dtype=np.int64)
+        rec = reconstruct_real_state(ShadowSnapshots(bases, outcomes))
+        assert np.array_equal(rec, [1.0, 0.0])

@@ -54,7 +54,40 @@ def central_difference_gradient(loss, a, step=1e-5):
     return grad
 
 
+def loop_ansatz_amplitudes(a):
+    """Pair by pair: the arithmetic the butterfly tables must reproduce bit for bit."""
+    amps = np.zeros(1 << a.n)
+    amps[0] = 1.0
+    idx = np.arange(amps.size)
+    ring = [(q, (q + 1) % a.n) for q in range(a.n)] if a.n > 2 else [(0, 1)] if a.n == 2 else []
+    for layer, angles in enumerate(a.theta.reshape(a.layers + 1, a.n)):
+        if layer:
+            for q1, q2 in ring:
+                b1 = (idx >> (a.n - 1 - q1)) & 1
+                b2 = (idx >> (a.n - 1 - q2)) & 1
+                amps[(b1 & b2) == 1] *= -1.0
+        for q in range(a.n):
+            half = angles[q] / 2.0
+            c, s = np.cos(half), np.sin(half)
+            shaped = amps.reshape(1 << q, 2, -1)
+            a0 = shaped[:, 0, :].copy()
+            a1 = shaped[:, 1, :].copy()
+            shaped[:, 0, :] = c * a0 - s * a1
+            shaped[:, 1, :] = s * a0 + c * a1
+    return amps
+
+
 class TestAnsatz:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_amplitudes_bit_identical_to_pairwise_loop(self, n):
+        # n = 1 has no CZ ring and n = 2 a single pair; angles spread over several turns
+        rng = np.random.default_rng(100 + n)
+        for layers in range(6):
+            for _ in range(20):
+                a = Ansatz(n, layers, 3.0 * rng.standard_normal(n * (layers + 1)))
+                got = ansatz_amplitudes(a)
+                assert np.array_equal(got.view(np.int64), loop_ansatz_amplitudes(a).view(np.int64))
+
     def test_zero_layers_zero_angles(self):
         a = Ansatz(2, 0, np.zeros(2))
         assert np.allclose(ansatz_amplitudes(a), [1, 0, 0, 0])
