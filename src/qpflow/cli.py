@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_NO_CONVERGENCE = 2
 
+# Desk budget for the largest array of one solve, 2**30 bytes (1 GiB); a
+# solve holds a few such arrays at its peak.
+DESK_BUDGET_LOG2 = 30
+
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
@@ -95,6 +99,24 @@ def _sweep_range(grid: dict, key: str, default: list | None = None) -> list:
     return [v if v is None and key == "clock_bits" else _number(v, int, where) for v in values]
 
 
+def desk_ceilings(n: int) -> tuple[int, int]:
+    """Largest ``--clock-bits`` and ``--shots`` for a case whose dilated Jacobian has n qubits.
+
+    The QPF-HHL state on c clock qubits, the n system qubits and one
+    ancilla takes 16 * 2**(c+n+1) bytes; a shadow snapshot takes n basis
+    bytes, an 8-byte outcome and an 8-byte uniform variate.  Each ceiling
+    is the largest value whose array fits the desk budget.
+    """
+    return DESK_BUDGET_LOG2 - 5 - n, (1 << DESK_BUDGET_LOG2) // (n + 16)
+
+
+def _capped(name: str, value: int, ceiling: int) -> int:
+    if value > ceiling:
+        budget = f"2**{DESK_BUDGET_LOG2}-byte budget"
+        raise CaseError(f"{name} {value} exceeds this case's ceiling of {ceiling}, set by a {budget}")
+    return value
+
+
 def _write_output(args, payload: bytes) -> None:
     if args.out:
         with open(args.out, "wb") as fh:
@@ -119,9 +141,7 @@ def _trace_record(trace) -> dict:
         "sparsities": trace.sparsities,
         "step_norms": trace.step_norms,
     }
-    rec.update(
-        {k: v for k, v in trace.extras.items() if k not in ("inner_loss_curves", "inner_records")}
-    )
+    rec.update({k: v for k, v in trace.extras.items() if k != "inner_records"})
     return rec
 
 
@@ -137,19 +157,21 @@ def cmd_solve(args) -> int:
     max_iter = _option(args, cfg, "max_iter", 20, int)
     tol = _option(args, cfg, "tol", 1e-8, float)
     newton_cfg = NewtonConfig(k_max=max_iter, eps0=tol)
+    max_clock_bits, max_shots = desk_ceilings((2 * problem.dim - 1).bit_length())
 
     downloader = _option(args, cfg, "downloader", "exact")
     if downloader not in ("exact", "shadows"):
         raise CaseError(f"config value 'downloader' must be 'exact' or 'shadows', got {downloader!r}")
     if downloader == "shadows":
-        downloader = ShadowReadout(samples=_option(args, cfg, "shots", 100_000, int), seed=seed)
+        shots = _capped("shots", _option(args, cfg, "shots", 100_000, int), max_shots)
+        downloader = ShadowReadout(samples=shots, seed=seed)
 
     if method == "newton":
         u, trace = newton_raphson(problem, newton_cfg)
         metrics = {}
     elif method == "hhl":
         hhl_cfg = HHLConfig(
-            clock_bits=_option(args, cfg, "clock_bits", 6, int),
+            clock_bits=_capped("clock_bits", _option(args, cfg, "clock_bits", 6, int), max_clock_bits),
             trotter_m=_option(args, cfg, "trotter_m", 10, int),
         )
         u, trace = qpf_hhl(problem, newton_cfg, hhl_cfg, downloader)
@@ -348,12 +370,25 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=("newton", "hhl", "vqls", "vqpf"))
     solve.add_argument("--max-iter", dest="max_iter", type=int)
     solve.add_argument("--tol", type=float)
-    solve.add_argument("--clock-bits", dest="clock_bits", type=int)
+    # n, the qubits of a case's dilated Jacobian, is 4, 5 and 6 on case3, case5 and case14
+    budget = f"2**{DESK_BUDGET_LOG2} bytes for a case whose dilated Jacobian has n qubits"
+    solve.add_argument(
+        "--clock-bits",
+        dest="clock_bits",
+        type=int,
+        help=f"HHL clock qubits c, at most {desk_ceilings(0)[0]} - n ({desk_ceilings(4)[0]} on case3):"
+        f" the 16*2**(c+n+1)-byte state fits {budget}",
+    )
     solve.add_argument("--trotter-m", dest="trotter_m", type=int)
     solve.add_argument("--layers", type=int)
     solve.add_argument("--max-steps", dest="max_steps", type=int)
     solve.add_argument("--downloader", choices=("exact", "shadows"))
-    solve.add_argument("--shots", type=int)
+    solve.add_argument(
+        "--shots",
+        type=int,
+        help=f"shadow snapshots S, at most 2**{DESK_BUDGET_LOG2} // (n + 16) ({desk_ceilings(4)[1]} on case3):"
+        f" the snapshots' (n + 16)*S bytes fit {budget}",
+    )
     solve.add_argument("--seed", type=int)
     solve.add_argument("--config")
     solve.add_argument("--out")

@@ -43,7 +43,6 @@ class ShadowReadout:
 class HHLConfig:
     clock_bits: int = 6
     trotter_m: int = 10
-    c_const: float | None = None  # None selects 0.9 * smallest represented |eigenvalue|
     t0: float | None = None  # None selects the spectral-window rule
     shift: float | None = None  # None selects the window rule; explicit values pair with t0
 
@@ -58,7 +57,6 @@ class HHLConfig:
 class HHLResult:
     x_state: np.ndarray  # unit-norm real solution direction
     success_prob: float
-    scale: float
     depth: DepthCounter
     fidelity_vs_exact: float
     clock_zero_prob: float = 1.0
@@ -91,31 +89,22 @@ def recover_normalization(x_unit: np.ndarray, a, b: np.ndarray) -> float:
 def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
     """Solve A x = b through the phase-estimation pipeline.
 
-    A must be Hermitian (dilate first otherwise); a non-power-of-two
-    dimension is padded with an identity block and zero right-hand side.
-    The pipeline is: prepare |b>, QPE, eigenvalue inversion, inverse QPE,
+    A must be real, symmetric and of power-of-two dimension, and b real
+    (``hermitian_dilation`` makes such a system of any real one).  The
+    pipeline is: prepare |b>, QPE, eigenvalue inversion, inverse QPE,
     postselect the ancilla on |1>, read out the live amplitudes.
     """
     cfg = cfg or HHLConfig()
-    dense = np.asarray(a, dtype=complex)
-    if np.max(np.abs(dense - dense.conj().T)) > 1e-10:
+    dense, b = np.asarray(a), np.asarray(b).reshape(-1)
+    if np.any(np.imag(dense)) or np.any(np.imag(b)):
+        raise ValueError("A and b must be real; dilate a complex system into a real one first")
+    dense, b = np.real(dense).astype(float), np.real(b).astype(float)
+    if np.max(np.abs(dense - dense.T)) > 1e-10:
         raise ValueError("matrix is not Hermitian; apply hermitian_dilation first")
-    dense = dense.real
-    b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != dense.shape[0]:
         raise ValueError("dimension mismatch between A and b")
     if np.linalg.norm(b) == 0:
         raise ValueError("right-hand side is the zero vector")
-
-    dim = dense.shape[0]
-    nq = int(dim).bit_length() - 1
-    if 1 << nq != dim:
-        nq = int(np.ceil(np.log2(dim)))
-        padded = np.eye(1 << nq)
-        padded[:dim, :dim] = dense
-        rhs = np.zeros(1 << nq)
-        rhs[:dim] = b
-        dense, b, dim = padded, rhs, 1 << nq
 
     # Gershgorin alone wastes clock resolution (its radius runs ~2x above
     # the spectral norm for these dilations), so cap the window with a
@@ -139,9 +128,8 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
         raise ValueError("clock window violation: eigenphases would leave [0, 1)")
 
     ham = pauli_decompose(dense).shifted(-shift)
-
-    def eig_of_phase(phase: float) -> float:
-        return phase * 2 * np.pi / t0 + shift
+    # clock value m reads phase m/2**c, the eigenvalue phase*2*pi/t0 + shift
+    lam_grid = np.arange(1 << c) / (1 << c) * 2 * np.pi / t0 + shift
 
     counter = DepthCounter()
     phase_estimation = PhaseEstimation(ham, c, t0, cfg.trotter_m)
@@ -155,7 +143,6 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
     # into the failed-postselection branch.
     clock_mass = state.probabilities().reshape(1 << c, -1).sum(axis=1)
     tick = 2 * np.pi / t0 / (1 << c)
-    lam_grid = np.array([eig_of_phase(m / (1 << c)) for m in range(1 << c)])
     usable = (clock_mass > _REPRESENTED_TOL) & (np.abs(lam_grid) >= tick)
     usable[0] = False
     if not usable.any():
@@ -167,11 +154,9 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
         raise SolverError("no invertible eigenvalue is represented on the clock register")
     eigs = lam_grid[usable]
     window = (float(np.min(np.abs(eigs))), float(np.max(np.abs(eigs))))
-    c_const = cfg.c_const if cfg.c_const is not None else 0.9 * window[0]
+    c_const = 0.9 * window[0]
 
-    state = eigenvalue_inversion(
-        state, c, c_const, counter, eig_of_phase=eig_of_phase, amp_tol=np.inf
-    )
+    state = eigenvalue_inversion(state, c, c_const, lam_grid, counter)
     # the ancilla occupies the least significant qubit and rides along
     state = phase_estimation.adjoint(state, counter)
     state, success_prob = measure_ancilla_postselect(state, ancilla=state.n - 1, want=1)
@@ -191,11 +176,9 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
     exact /= np.linalg.norm(exact)
     fidelity = float(abs(np.dot(exact, x_state)))
 
-    scale = recover_normalization(x_state, dense, b)
     return HHLResult(
         x_state=x_state,
         success_prob=success_prob,
-        scale=scale,
         depth=counter,
         fidelity_vs_exact=fidelity,
         clock_zero_prob=clock_zero,
@@ -206,7 +189,7 @@ def hhl_solve(a, b: np.ndarray, cfg: HHLConfig | None = None) -> HHLResult:
 
 def download_state(x_state: np.ndarray, downloader, iteration: int) -> np.ndarray:
     """Read a solution direction either exactly or through classical shadows."""
-    if downloader == "exact" or downloader is None:
+    if downloader == "exact":
         return np.asarray(x_state, dtype=float)
     if isinstance(downloader, ShadowReadout):
         from .shadows import collect_shadows, reconstruct_real_state

@@ -287,54 +287,39 @@ def eigenvalue_inversion(
     state: StateVector,
     clock_bits: int,
     c_const: float,
+    eigenvalues: np.ndarray,
     counter: DepthCounter | None = None,
-    eig_of_phase=None,
-    amp_tol: float = 1e-14,
 ) -> StateVector:
-    """Controlled rotation |lam>|0> -> |lam>(cos p|0> + sin p|1>), p = arcsin(C/lam).
+    """Controlled rotation |m>|0> -> |m>(cos p|0> + sin p|1>), p = arcsin(C/lambda_m).
 
     An ancilla is appended as the new least significant qubit.  The clock
-    value m (most significant register) represents the phase m/2**clock_bits;
-    ``eig_of_phase`` maps that phase to the eigenvalue and defaults to the
-    identity.  One naive multi-controlled rotation per nonzero clock value
-    is counted: 2**clock_bits - 1 in total.
+    value m (most significant register) stands for the eigenvalue
+    ``eigenvalues[m]``.  The one rotation rule: every nonzero clock value
+    whose eigenvalue is nonzero with |C/lambda_m| <= 1 is rotated; clock
+    value 0, a zero eigenvalue and |C/lambda_m| > 1 keep their amplitude on
+    ancilla |0>, the failed-postselection branch.  One naive
+    multi-controlled rotation per nonzero clock value is counted:
+    2**clock_bits - 1 in total.
     """
     if c_const <= 0:
         raise ValueError("rotation constant C must be positive")
     if clock_bits < 1:
         raise ValueError("clock_bits must be >= 1")
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    if eigenvalues.shape != (1 << clock_bits,):
+        raise ValueError(f"want {1 << clock_bits} eigenvalues, one per clock value, got shape {eigenvalues.shape}")
     if counter is None:
         counter = DepthCounter()
-    if eig_of_phase is None:
-        eig_of_phase = lambda phase: phase  # noqa: E731
     c = clock_bits
-    rest = state.amps.size >> c
-    psi = state.amps.reshape(1 << c, rest)
-    mass = (psi.real**2 + psi.imag**2).sum(axis=1)
+    psi = state.amps.reshape(1 << c, -1)
 
-    # Clock value 0 is never rotated (the 2**c - 1 rotation convention);
-    # amplitude there falls into the failed-postselection branch.  It is an
-    # error only when it encodes a genuine zero eigenvalue with more mass
-    # than phase-estimation leakage explains (amp_tol).
+    ratio = np.divide(c_const, eigenvalues, out=np.full(1 << c, np.inf), where=eigenvalues != 0.0)
+    rotated = np.abs(ratio) <= 1.0
+    rotated[0] = False
     angles = np.zeros(1 << c)
-    for m in range(1 << c):
-        lam = eig_of_phase(m / (1 << c))
-        if m == 0:
-            if lam == 0.0 and mass[0] > amp_tol:
-                raise ValueError("clock value 0 carries amplitude; its eigenvalue is not invertible")
-            continue
-        if lam == 0.0:
-            if mass[m] > amp_tol:
-                raise ValueError(f"eigenvalue 0 at clock value {m} carries amplitude")
-            continue
-        ratio = c_const / lam
-        if abs(ratio) > 1.0:
-            if mass[m] > amp_tol:
-                raise ValueError(f"|C/lambda| = {abs(ratio):.3g} > 1 at clock value {m}")
-            continue
-        angles[m] = np.arcsin(ratio)
+    angles[rotated] = np.arcsin(ratio[rotated])
 
-    out = np.zeros((1 << c, rest, 2), dtype=complex)
+    out = np.zeros((*psi.shape, 2), dtype=complex)
     out[:, :, 0] = np.cos(angles)[:, None] * psi
     out[:, :, 1] = np.sin(angles)[:, None] * psi
     counter.add_ctrl_rotation((1 << c) - 1)

@@ -72,18 +72,20 @@ def qpe_depth(q: DepthQuery) -> DepthCounter:
     """Gate tallies of one phase-estimation pass, no amplitudes run.
 
     Per clock bit: one controlled Trotter evolution of trotter_m steps,
-    each step applying the L representative terms.  A controlled term of
-    weight w with x basis-changing letters costs 2x single-qubit gates,
-    2(w-1) CNOTs, and one controlled rotation.
+    each step applying the L representative terms.  The terms are costed
+    by ``DepthCounter.add_pauli_exp`` at the exact (Fraction) mean weight
+    and mean count of basis-changing letters, and their tallies rounded
+    to whole gates.
     """
     c = q.clock
     mean_w, mean_x = _mean_letter_stats(q.n)
-    reps = c * q.l * q.trotter_m
+    terms = DepthCounter()
+    terms.add_pauli_exp(mean_w, mean_x, controlled=True, reps=c * q.l * q.trotter_m)
     counter = DepthCounter()
     counter.add_single(c)  # clock Hadamards
-    counter.single_qubit += round(reps * 2 * mean_x)
-    counter.two_qubit += round(reps * 2 * (mean_w - 1))
-    counter.ctrl_rotation += reps
+    counter.single_qubit += round(terms.single_qubit)
+    counter.two_qubit += round(terms.two_qubit)
+    counter.ctrl_rotation += terms.ctrl_rotation
     counter.add_qft(c)
     return counter
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PowerFlowProblem, RowKind, SolverError
-from .hhl import quantum_step, recover_normalization
+from .hhl import quantum_step
 from .lcu import LCUDecomposition, reconstruct
 from .newton import SolveTrace, newton_raphson
 from .qsim import StateVector
@@ -247,7 +247,6 @@ class VariationalRecord:
     converged: bool = False
     steps: int = 0
     x_state: np.ndarray | None = None
-    scale: float | None = None
 
     def loss_csv(self) -> bytes:
         lines = ["step,loss,grad_norm"]
@@ -337,20 +336,12 @@ def vqls_solve(
 ) -> tuple[Ansatz, VariationalRecord]:
     """L-BFGS on the local VQLS loss for A x = b.
 
-    Returns the optimized ansatz and a record holding the loss curve, the
-    final solution state, and its recovered physical scale.
+    Returns the optimized ansatz and a record holding the loss curve and
+    the final solution state.
     """
     opt = opt or OptimizerConfig()
-    a_dense = _dense_real(a_mat)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    loss = LocalVqlsLoss(a_dense, b)
-    ansatz, rec = _descend(loss, a0, opt)
-    x_state = ansatz_amplitudes(ansatz)
-    rec.x_state = x_state
-    try:
-        rec.scale = recover_normalization(x_state, a_dense, b)
-    except SolverError:
-        rec.scale = None
+    ansatz, rec = _descend(LocalVqlsLoss(a_mat, b), a0, opt)
+    rec.x_state = ansatz_amplitudes(ansatz)
     return ansatz, rec
 
 
@@ -379,12 +370,15 @@ def _cross_term_row(full: int, k: int) -> np.ndarray:
 def vqpf_from_power_flow(problem: PowerFlowProblem) -> VQPFProblem:
     """Embed power-flow rows into the padded space.
 
-    Zero-target constraints (the slack angle u_2 = 0 and the padding
-    coordinates) are encoded as cross terms u_1 * u_k = 0 rather than
-    squared projectors u_k^2 = 0: both vanish exactly at solutions (the
-    slack real part is pinned away from zero by the magnitude row), but
-    the projector form is quartically flat around them and stalls a
-    gradient-based optimizer.  The reference row is the slack magnitude row.
+    Zero-target constraints (the slack angle u_1 = 0 and every padding
+    coordinate u_k, k >= dim) are encoded as cross terms u_0 * u_k = 0
+    rather than squared projectors u_k^2 = 0, whose quartic flatness
+    around zero stalls a gradient-based optimizer.  Both forms vanish at
+    every solution.  The cross terms also vanish wherever the slack real
+    part u_0 is zero, whatever the other coordinates: the slack magnitude
+    row fixes u_0^2 + u_1^2, not u_0, so the loss has zeros at u_0 = 0
+    that are not power-flow solutions.  The reference row is the slack
+    magnitude row.
     """
     dim = problem.dim
     n = max(1, int(np.ceil(np.log2(dim))))
@@ -484,11 +478,11 @@ def qpf_vqls(
     """Newton power flow with VQLS as the inner linear solver.
 
     The ansatz parameters warm-start from the previous outer iteration.
-    Inner loss curves land in the trace extras.
+    The inner solves' records, loss curves included, land in the trace
+    extras as ``inner_records``.
     """
     opt = opt or OptimizerConfig()
     state = {"theta": None}
-    inner_curves: list[list[float]] = []
     inner_records: list[VariationalRecord] = []
 
     def inner(a_tilde, b_tilde, iteration):
@@ -499,7 +493,6 @@ def qpf_vqls(
             a0 = Ansatz(n, layers, state["theta"])
         ansatz, rec = vqls_solve(a_tilde, b_tilde, a0, opt)
         state["theta"] = ansatz.theta.copy()
-        inner_curves.append(rec.loss_curve)
         inner_records.append(rec)
         return rec.x_state, {
             "inner_loss": rec.loss_curve[-1],
@@ -508,6 +501,5 @@ def qpf_vqls(
         }
 
     u, trace = newton_raphson(problem, cfg_newton, quantum_step(inner, downloader))
-    trace.extras["inner_loss_curves"] = inner_curves
     trace.extras["inner_records"] = inner_records
     return u, trace

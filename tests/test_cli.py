@@ -7,9 +7,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qpflow.cli import main
+from qpflow.cli import DESK_BUDGET_LOG2, desk_ceilings, main
 from qpflow.fixtures import FIXTURE_NAMES, load_fixture
-from qpflow.grid import flat_start, jacobian, residual
+from qpflow.grid import SolverError, flat_start, jacobian, residual
 from qpflow.newton import lu_solve
 
 CASE3 = str(resources.files("qpflow.cases").joinpath("case3.json"))
@@ -170,6 +170,37 @@ class TestSolve:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, which, extra",
+        [("--clock-bits", 0, []), ("--shots", 1, ["--downloader", "shadows"])],
+        ids=["clock-bits", "shots"],
+    )
+    def test_desk_ceiling(self, flag, which, extra, tmp_path, monkeypatch, capsys):
+        # the ceiling itself reaches the solver, one above it is an input error;
+        # the solver is a stub, so neither value allocates anything
+        reached = []
+
+        def stub(*args):
+            reached.append(args)
+            raise SolverError("stub solver")
+
+        monkeypatch.setattr("qpflow.cli.qpf_hhl", stub)
+        ceiling = desk_ceilings(4)[which]  # case3's dilated Jacobian has 4 qubits
+        args = ["solve", CASE3, "--method", "hhl", *extra, "--out", str(tmp_path / "x.json")]
+        assert run_cli(args + [flag, str(ceiling)]) == 2
+        assert len(reached) == 1
+        assert run_cli(args + [flag, str(ceiling + 1)]) == 1
+        assert len(reached) == 1
+        assert f"exceeds this case's ceiling of {ceiling}," in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_desk_ceilings_fit_budget(self, n):
+        # each ceiling is the largest value whose largest array fits the budget
+        budget = 1 << DESK_BUDGET_LOG2
+        clock_bits, shots = desk_ceilings(n)
+        assert 16 * 2 ** (clock_bits + n + 1) <= budget < 16 * 2 ** (clock_bits + n + 2)
+        assert shots * (n + 16) <= budget < (shots + 1) * (n + 16)
 
     def test_unknown_config_keys_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

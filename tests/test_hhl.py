@@ -20,9 +20,10 @@ def dyadic_diagonal_system(rng, n, clock_bits):
 
 class TestHhlSolve:
     def test_eigenvector_input(self):
-        res = hhl_solve(np.diag([1.0, -1.0]), np.array([1.0, 0.0]), HHLConfig(clock_bits=3))
+        a, b = np.diag([1.0, -1.0]), np.array([1.0, 0.0])
+        res = hhl_solve(a, b, HHLConfig(clock_bits=3))
         assert np.allclose(res.x_state, [1.0, 0.0])
-        assert res.scale == pytest.approx(1.0)
+        assert recover_normalization(res.x_state, a, b) == pytest.approx(1.0)
 
     def test_diag_example_fidelity(self):
         a = np.diag([1.0, 0.5])
@@ -79,14 +80,18 @@ class TestHhlSolve:
         with pytest.raises(ValueError, match="window"):
             hhl_solve(np.diag([1.0, 3.0]), np.ones(2), HHLConfig(clock_bits=3, t0=10.0))
 
-    def test_non_power_of_two_padding(self):
-        # 3x3 Hermitian pads to 4 with an identity block and zero rhs
-        a = np.diag([1.0, 2.0, 3.0])
-        b = np.array([1.0, 1.0, 1.0])
-        res = hhl_solve(a, b, HHLConfig(clock_bits=5))
-        want = np.array([1.0, 0.5, 1 / 3.0, 0.0])
-        want /= np.linalg.norm(want)
-        assert abs(np.dot(res.x_state, want)) > 0.99
+    def test_non_power_of_two_rejected(self):
+        # hermitian_dilation pads to a power of two; hhl_solve itself does not
+        with pytest.raises(ValueError, match="power of two"):
+            hhl_solve(np.diag([1.0, 2.0, 3.0]), np.ones(3), HHLConfig(clock_bits=5))
+
+    def test_complex_input_rejected(self):
+        # Hermitian but complex: solving its real part would answer (1, 0)
+        # where the solution direction is (0.894, -0.447i)
+        with pytest.raises(ValueError, match="real"):
+            hhl_solve(np.array([[2, -1j], [1j, 2]]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="real"):
+            hhl_solve(np.diag([1.0, 2.0]), np.array([1.0, 1j]))
 
     def test_success_probability_bounds(self):
         # p <= 1 and p >= (C / lambda_max)^2 * ||beta||^2 on the exact path

@@ -190,16 +190,21 @@ class TestEigenvalueInversion:
         amps[m * (1 << n_sys)] = 1.0
         return StateVector(clock_bits + n_sys, amps)
 
+    @staticmethod
+    def phase_grid(clock_bits):
+        # eigenvalue = phase: clock value m stands for m / 2**clock_bits
+        return np.arange(1 << clock_bits) / (1 << clock_bits)
+
     def test_lambda_equal_c(self):
         state = self.setup_state(2, 1)
-        out = eigenvalue_inversion(state, 2, c_const=0.25)
+        out = eigenvalue_inversion(state, 2, 0.25, self.phase_grid(2))
         shaped = out.amps.reshape(4, 2, 2)
         assert abs(shaped[1, 0, 1]) == pytest.approx(1.0)
         assert abs(shaped[1, 0, 0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_lambda_twice_c(self):
         state = self.setup_state(2, 2)
-        out = eigenvalue_inversion(state, 2, c_const=0.25)
+        out = eigenvalue_inversion(state, 2, 0.25, self.phase_grid(2))
         shaped = out.amps.reshape(4, 2, 2)
         assert abs(shaped[2, 0, 0]) == pytest.approx(np.sqrt(3) / 2)
         assert abs(shaped[2, 0, 1]) == pytest.approx(0.5)
@@ -207,22 +212,50 @@ class TestEigenvalueInversion:
     def test_rotation_count(self):
         for c in (1, 2, 4):
             counter = DepthCounter()
-            eigenvalue_inversion(self.setup_state(c, 1), c, 2.0 ** (-c - 1), counter)
+            eigenvalue_inversion(self.setup_state(c, 1), c, 2.0 ** (-c - 1), self.phase_grid(c), counter)
             assert counter.ctrl_rotation == 2**c - 1
 
     def test_zero_clock_amplitude_rejected(self):
+        # clock value 0 (eigenvalue 0) is never inverted: all of its amplitude
+        # stays on ancilla |0>, the failed-postselection branch
         state = self.setup_state(2, 0)
-        with pytest.raises(ValueError, match="clock value 0"):
-            eigenvalue_inversion(state, 2, c_const=0.1)
+        out = eigenvalue_inversion(state, 2, 0.1, self.phase_grid(2)).amps.reshape(4, 2, 2)
+        assert np.array_equal(out[:, :, 0], state.amps.reshape(4, 2))
+        assert np.array_equal(out[:, :, 1], np.zeros((4, 2)))
+
+    def test_rotation_rule(self):
+        # every clock value m != 0 with a nonzero eigenvalue and |C/lambda| <= 1
+        # is rotated; the rest keep all their amplitude on ancilla |0>
+        c_const = 0.25
+        eigs = np.array([0.5, 0.0, 0.2, c_const, -c_const, 2 * c_const, -0.2, -0.5])
+        stay = [0, 1, 2, 6]  # clock value 0, a zero eigenvalue, |C/lambda| > 1 twice
+        whole = [3, 4]  # |C/lambda| = 1, both signs
+        rng = np.random.default_rng(3)
+        state = random_state(rng, 3 + 2)
+        counter = DepthCounter()
+        out = eigenvalue_inversion(state, 3, c_const, eigs, counter).amps.reshape(8, 4, 2)
+        psi = state.amps.reshape(8, 4)
+        assert np.array_equal(out[stay, :, 0], psi[stay])
+        assert np.array_equal(out[stay, :, 1], np.zeros((4, 4)))
+        assert np.allclose(out[whole, :, 1], np.sign(eigs[whole])[:, None] * psi[whole], rtol=0, atol=1e-15)
+        assert np.allclose(out[whole, :, 0], 0.0, rtol=0, atol=1e-15)
+        for m in (5, 7):
+            ratio = c_const / eigs[m]
+            assert np.allclose(out[m, :, 1], ratio * psi[m], rtol=0, atol=1e-15)
+            assert np.allclose(out[m, :, 0], np.sqrt(1 - ratio**2) * psi[m], rtol=0, atol=1e-15)
+        assert counter.ctrl_rotation == 2**3 - 1
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
-            eigenvalue_inversion(self.setup_state(2, 1), 2, c_const=0.0)
+            eigenvalue_inversion(self.setup_state(2, 1), 2, 0.0, self.phase_grid(2))
 
     def test_out_of_range_ratio_rejected_when_represented(self):
-        state = self.setup_state(3, 1)  # phase 1/8
-        with pytest.raises(ValueError, match="C/lambda"):
-            eigenvalue_inversion(state, 3, c_const=0.5)
+        # phase 1/8 with C = 0.5 gives |C/lambda| = 4 > 1: not rotated, all of
+        # its amplitude stays on ancilla |0>
+        state = self.setup_state(3, 1)
+        out = eigenvalue_inversion(state, 3, 0.5, self.phase_grid(3)).amps.reshape(8, 2, 2)
+        assert np.array_equal(out[:, :, 0], state.amps.reshape(8, 2))
+        assert np.array_equal(out[:, :, 1], np.zeros((8, 2)))
 
 
 def test_default_trotter_steps_are_ten():
